@@ -4,21 +4,20 @@
 count_closures prefers structure over enumeration: disconnected posets
 factor over components, recognized shapes use closed formulas, isolated
 suborders split the problem into quotient times inside, and only the
-irreducible leftovers are brute-forced. The trace records which route was
-taken; every number shown here is also validated against direct
+irreducible leftovers go to the exact leaf counter. The trace records which
+route was taken; every number shown here is also validated against direct
 enumeration.
 
 Run: python demos/04_counting.py
 """
 
-from closurecount import (Poset, count_closure_systems_bruteforce,
-                          count_closures, explain, mask_of,
-                          powerset_lattice, stacked)
+from closurecount import (Poset, count_closures, enumerate_closure_systems,
+                          explain, mask_of, powerset_lattice, stacked)
 
 
 def show(p: Poset, title: str, t: int = 0) -> None:
     result = count_closures(p, t)
-    check = count_closure_systems_bruteforce(p, t)
+    check = sum(1 for _ in enumerate_closure_systems(p, t))
     status = "ok" if result.value == check else "MISMATCH"
     print(f"\n{title}: {result.value} closure systems "
           f"(enumeration says {check}, {status})")

@@ -5,8 +5,8 @@ self-map; equivalently a closure system, the set of its fixpoints. This
 package counts them exactly: it detects isolated suborders (intervals the
 rest of the poset can only enter at the bottom and leave at the top),
 collapses them, counts quotient and suborder independently, and falls back
-to closed formulas for recognized shapes or to brute-force enumeration.
-Every decomposition path is validated against the brute force.
+to closed formulas for recognized shapes or to an exact frontier-DP leaf
+counter. Every path is validated against the definitional enumerator.
 """
 
 from .bitset import ElementSet, bits, mask_of, size

@@ -4,11 +4,12 @@ Subcommands:
   count      count closure systems of a poset, optionally constrained
   decompose  report maximal useful isolated suborders of both kinds
   validate   parse a poset file and describe what was read
-  selfcheck  decomposition vs brute force on random instances
-  bench      time decomposition against direct brute force, CSV output
+  selfcheck  the counter vs the definitional enumerator on random instances
+  bench      time the counter against the definitional enumerator, CSV output
 
 Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage,
-3 size refusal (brute force above the cap without --force).
+3 size refusal without --force (a leaf count past its --cap state budget, or
+the enumerator above its element cap).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import sys
 import time
 
 from .bitset import bits
-from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
-                       count_closure_systems_bruteforce)
+from .closures import (DEFAULT_BRUTE_CAP, DEFAULT_ENUM_CAP,
+                       bruteforce_search_space, enumerate_closure_systems)
 from .counting import bruteforce_candidates, count_closures, explain
 from .errors import ClosureCountError, TooLargeError
 from .fileio import build_poset, read_poset_file
@@ -126,7 +127,7 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     for f in report.failures[:1]:
         print(f"MISMATCH on instance #{f.index}: n={f.poset.n}, "
               f"covers={sorted(f.poset.covers)}, required={sorted(bits(f.t))}, "
-              f"decomposition={f.got}, bruteforce={f.want}")
+              f"decomposition={f.got}, enumeration={f.want}")
     return 0 if report.ok else 1
 
 
@@ -139,18 +140,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     all_agree = True
     for kind, name in specs:
         p = family(name) if kind == "family" else build_poset(read_poset_file(name))
-        cap = None if args.force else args.cap
         t0 = time.perf_counter()
-        brute = count_closure_systems_bruteforce(p, cap=cap)
-        brute_s = time.perf_counter() - t0
+        enumerated = sum(1 for _ in enumerate_closure_systems(
+            p, cap=None if args.force else DEFAULT_ENUM_CAP))
+        enum_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         result = count_closures(p, cap=args.cap, force=args.force)
         decomp_s = time.perf_counter() - t0
-        agree = brute == result.value
+        agree = enumerated == result.value
         all_agree &= agree
         rows.append({
             "name": name, "size": p.n,
-            "brute_seconds": f"{brute_s:.6f}",
+            "brute_seconds": f"{enum_s:.6f}",
             "decomp_seconds": f"{decomp_s:.6f}",
             "count": result.value, "agree": agree,
             "brute_checks": bruteforce_search_space(p),
@@ -183,9 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--pretty", action="store_true",
                          help="thousands separators in the result")
     p_count.add_argument("--force", action="store_true",
-                         help="run brute-force leaves even above the cap")
+                         help="run leaf counts even past the cap")
     p_count.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
-                         help="brute-force size cap (default %(default)s)")
+                         help="most states the leaf counter may visit "
+                              "(default %(default)s)")
     p_count.set_defaults(func=cmd_count)
 
     p_dec = sub.add_parser("decompose",
@@ -199,7 +201,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_val.set_defaults(func=cmd_validate)
 
     p_self = sub.add_parser("selfcheck",
-                            help="compare decomposition against brute force "
+                            help="compare the counter against the enumerator "
                                  "on random posets")
     p_self.add_argument("--instances", type=int, default=200)
     p_self.add_argument("--max-size", type=int, default=9)
@@ -207,13 +209,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self.set_defaults(func=cmd_selfcheck)
 
     p_bench = sub.add_parser("bench",
-                             help="time decomposition vs direct brute force")
+                             help="time the counter vs the enumerator")
     p_bench.add_argument("files", nargs="*", help="poset files to benchmark")
     p_bench.add_argument("--family", action="append", metavar="SPEC",
                          help="generated instance, repeatable")
     p_bench.add_argument("--csv", metavar="PATH", help="write the report here")
-    p_bench.add_argument("--force", action="store_true")
-    p_bench.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP)
+    p_bench.add_argument("--force", action="store_true",
+                         help="lift the enumerator's element cap and the "
+                              "leaf state budget")
+    p_bench.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
+                         help="leaf state budget of the counter")
     p_bench.set_defaults(func=cmd_bench)
     return parser
 

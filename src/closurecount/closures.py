@@ -4,9 +4,10 @@ A closure operator is an extensive, isotone, idempotent self-map; a closure
 system is a subset C such that every element has a least majorizer inside C.
 The two determine each other: the systems are exactly the fixpoint sets of
 the operators. This module holds the definitional checks, the conversion in
-both directions, and brute-force enumeration/counting over subsets. The
-brute force is deliberately definition-shaped; faster counting lives in
-counting.py and is always validated against this module.
+both directions, enumeration over subsets, and the exact leaf counter the
+decomposition falls back on. The enumerator checks the definition on every
+candidate subset; it is the oracle that the leaf counter and the
+decomposition are both validated against.
 """
 
 from __future__ import annotations
@@ -14,16 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-import numpy as np
-
-from .bitset import ElementSet, bits, size
+from .bitset import ElementSet, bits, mask_of
 from .errors import InvalidOperatorError, NoGreatestElementError, TooLargeError
 from .poset import Poset
 
-DEFAULT_BRUTE_CAP = 22
-
-# below this many free elements the plain Python loop wins over numpy setup
-_VECTOR_THRESHOLD = 14
+DEFAULT_BRUTE_CAP = 1 << 20  # leaf states; powerset:5 visits about 694k
+DEFAULT_ENUM_CAP = 22  # elements, for the 2^free subset enumeration
 
 
 @dataclass(frozen=True)
@@ -117,7 +114,7 @@ def _free_elements(p: Poset, required: ElementSet) -> tuple:
 
 
 def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
-                              cap: Optional[int] = DEFAULT_BRUTE_CAP) -> Iterator[ClosureSystem]:
+                              cap: Optional[int] = DEFAULT_ENUM_CAP) -> Iterator[ClosureSystem]:
     """Yield every closure system containing `required`, ascending by subset
     bitmask over the free elements. An unsatisfiable `required` simply yields
     nothing."""
@@ -133,62 +130,60 @@ def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
 
 
 def bruteforce_search_space(p: Poset, required: ElementSet = 0) -> int:
-    """Number of candidate subsets brute force examines for this instance."""
+    """Number of candidate subsets the enumerator examines for this
+    instance: 2^(free elements), the leaf's nominal search space."""
     _, free = _free_elements(p, required)
     return 1 << len(free)
 
 
 def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
                                      cap: Optional[int] = DEFAULT_BRUTE_CAP) -> int:
-    """Count closure systems containing `required` by examining every subset.
+    """Count closure systems containing `required` exactly, by a frontier DP.
 
-    Raises TooLargeError above the cap (pass cap=None to lift it). Large free
-    sets go through a vectorized kernel; both paths examine the same
-    candidates and agree exactly.
+    Elements are decided in reverse linear extension, so the decided set is
+    always an up-set, and each decided z carries cl(z), the least member of
+    the system that is >= z. Putting x in is always legal, with cl(x) = x.
+    Leaving x out is legal iff x is not forced (maximal or required) and the
+    cl values of its upper covers have a least one m; then cl(x) = m, since
+    the members above x are the union of the members above those covers.
+    Later decisions read cl only on the frontier, the decided elements with
+    an undecided lower cover, so a state is the tuple of frontier cl values
+    and equal states merge. Raises TooLargeError once more than `cap` states
+    have been visited in total (pass cap=None to lift it).
     """
-    if cap is not None and p.n > cap:
-        raise TooLargeError(
-            f"brute force refused: n={p.n} exceeds the cap {cap}")
-    forced, free = _free_elements(p, required)
-    if len(free) >= _VECTOR_THRESHOLD:
-        return _count_vectorized(p, forced, free)
-    total = 0
-    for k in range(1 << len(free)):
-        c = forced
-        for i, pos in enumerate(free):
-            c |= ((k >> i) & 1) << pos
-        if is_closure_system(p, c):
-            total += 1
-    return total
-
-
-def _count_vectorized(p: Poset, forced: ElementSet, free: list) -> int:
-    """numpy kernel: test candidate masks in chunks.
-
-    For each element x and each candidate mask C, x's majorizers U = up(x) & C
-    must have exactly one minimal member; minimality of u in U is U avoiding
-    everything strictly below u.
-    """
-    one = np.uint64(1)
-    total = 0
-    space = 1 << len(free)
-    chunk = 1 << 16
-    for start in range(0, space, chunk):
-        k = np.arange(start, min(start + chunk, space), dtype=np.uint64)
-        masks = np.full(k.shape, forced, dtype=np.uint64)
-        for i, pos in enumerate(free):
-            masks |= ((k >> np.uint64(i)) & one) << np.uint64(pos)
-        ok = np.ones(k.shape, dtype=bool)
-        for x in range(p.n):
-            u_masks = masks & np.uint64(p.up_incl[x])
-            n_minimal = np.zeros(k.shape, dtype=np.uint8)
-            for u in bits(p.up_incl[x]):
-                present = ((u_masks >> np.uint64(u)) & one) != 0
-                minimal = (u_masks & np.uint64(p.down[u])) == 0
-                n_minimal += present & minimal
-            ok &= n_minimal == 1
-        total += int(np.count_nonzero(ok))
-    return total
+    forced, _ = _free_elements(p, required)
+    undecided_below = [len(p.cover_pred[x]) for x in range(p.n)]
+    frontier = ()  # element at each position of a state tuple
+    layer = {(): 1}
+    visited = 0
+    for x in reversed(p.topo):
+        slots = [frontier.index(z) for z in p.cover_succ[x]]
+        for z in p.cover_succ[x]:
+            undecided_below[z] -= 1
+        keep = [i for i, z in enumerate(frontier) if undecided_below[z]]
+        joins = undecided_below[x] > 0
+        may_leave = not (forced >> x) & 1
+        nxt = {}
+        least = {}  # cl values of x's upper covers -> their least, or None
+        for state, ways in layer.items():
+            kept = tuple([state[i] for i in keep])
+            key = kept + (x,) if joins else kept
+            nxt[key] = nxt.get(key, 0) + ways
+            if may_leave:
+                above = tuple([state[i] for i in slots])
+                if above not in least:
+                    least[above] = p.least_element_of(mask_of(above))
+                m = least[above]
+                if m is not None:
+                    key = kept + (m,) if joins else kept
+                    nxt[key] = nxt.get(key, 0) + ways
+        visited += len(nxt)
+        if cap is not None and visited > cap:
+            raise TooLargeError(
+                f"leaf count refused: more than {cap} states (n={p.n})")
+        layer = nxt
+        frontier = tuple(frontier[i] for i in keep) + ((x,) if joins else ())
+    return sum(layer.values())
 
 
 def count_preclosure_systems(p: Poset, cap: Optional[int] = DEFAULT_BRUTE_CAP) -> int:

@@ -13,10 +13,13 @@ preferring structure over enumeration, in this order:
      systems of S' (C may meet S' without containing its top, and the
      bottleneck above rescues least majorizers); systems avoiding S'
      entirely are in bijection with quotient systems avoiding the class;
-  5. brute force, refused above the cap unless forced.
+  5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
+     DP over a reverse linear extension), refused once it has visited more
+     than `cap` states unless forced.
 
-Every path is validated against count_closure_systems_bruteforce in the
-test suite; the decomposition is never trusted on its own.
+Every path is validated against enumerate_closure_systems in the test
+suite; neither the decomposition nor the leaf counter is trusted on its
+own.
 """
 
 from __future__ import annotations
@@ -43,8 +46,8 @@ class DecompositionTrace:
     kind is one of "special", "components", "summit", "bottleneck", "brute".
     iso_original and t_original are masks in the ids of the original poset
     the count was asked about, so disjointness is auditable after nested
-    quotients renumber everything; search_space is the number of candidate
-    subsets a brute leaf examined.
+    quotients renumber everything; search_space is 2^(free elements) of a
+    "brute" leaf, the subsets the enumerator would examine there.
     """
 
     kind: str
@@ -70,7 +73,7 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
     """Count the closure systems of p containing t (an element mask).
 
     Exact arbitrary-precision result. Raises EmptyPosetError for n = 0 and
-    TooLargeError when a brute-force leaf would exceed `cap` elements and
+    TooLargeError when a leaf count would visit more than `cap` states and
     `force` is not set.
     """
     if p.n == 0:
@@ -151,7 +154,8 @@ def trace_nodes(trace: DecompositionTrace) -> Iterator[DecompositionTrace]:
 
 
 def bruteforce_candidates(trace: DecompositionTrace) -> int:
-    """Total subsets examined by brute-force leaves under this node."""
+    """Total leaf search space under this node: the sum of 2^(free
+    elements) over its "brute" leaves."""
     return sum(n.search_space for n in trace_nodes(trace) if n.kind == "brute")
 
 
@@ -179,7 +183,7 @@ def explain(trace: DecompositionTrace) -> str:
                        f" of {node.iso.n} elements: {node.value}"
                        f" = {a.value} * 2*({b.value}-1) + {c.value}{t_note}")
         else:
-            out.append(f"{pad}brute force over {node.search_space} candidates"
+            out.append(f"{pad}leaf count, search space {node.search_space}"
                        f" -> {node.value}{t_note}")
         for child in node.children:
             walk(child, depth + 1)

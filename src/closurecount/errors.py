@@ -35,7 +35,8 @@ class EmptySetError(ClosureCountError):
 
 
 class TooLargeError(ClosureCountError):
-    """Brute-force enumeration was refused because the poset exceeds the cap."""
+    """Refused as too large: a leaf count past its state budget, or an
+    enumeration over more elements than its cap."""
 
 
 class NoGreatestElementError(ClosureCountError):

@@ -1,10 +1,10 @@
-"""Randomized agreement check between decomposition and brute force.
+"""Randomized agreement check between the counter and the enumerator.
 
-The decomposition counter is never trusted on its own: this module grinds
-random connected posets with random constraint sets through both routes and
-reports any disagreement, along with audit figures from the decomposition
-traces (a suborder used for a split must never intersect the active
-constraint set).
+The counter (decomposition plus leaf DP) is never trusted on its own: this
+module grinds random connected posets with random constraint sets through
+count_closures and through the definitional enumerator, and reports any
+disagreement, along with audit figures from the decomposition traces (a
+suborder used for a split must never intersect the active constraint set).
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .closures import DEFAULT_BRUTE_CAP, count_closure_systems_bruteforce
+from .closures import DEFAULT_BRUTE_CAP, enumerate_closure_systems
 from .counting import count_closures, trace_nodes
 from .generators import random_connected_poset, random_submask
 from .poset import Poset
@@ -53,7 +53,8 @@ def disjointness_violations(trace) -> int:
 
 def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
                   max_t: int = 3, cap=DEFAULT_BRUTE_CAP) -> SelfCheckReport:
-    """Compare count_closures against brute force on random instances.
+    """Compare count_closures against enumerate_closure_systems on random
+    instances; `cap` is count_closures' leaf state budget.
 
     The RNG is fully determined by `seed`, so a failing instance can be
     regenerated from its report.
@@ -65,7 +66,7 @@ def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
         n = rng.randint(1, max_size)
         p = random_connected_poset(rng, n)
         t = random_submask(rng, p.full_mask, max_t)
-        want = count_closure_systems_bruteforce(p, t, cap=cap)
+        want = sum(1 for _ in enumerate_closure_systems(p, t))
         result = count_closures(p, t, cap=cap)
         if result.value != want:
             report.failures.append(Failure(i, p, t, result.value, want))

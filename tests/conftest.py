@@ -1,4 +1,4 @@
-"""Shared test helpers: random poset sources.
+"""Shared test helpers: random poset sources and the counting oracle.
 
 Seeded random.Random drives the instance-count checks (reproducible exact
 counts); a hypothesis strategy drives the structural invariants.
@@ -10,7 +10,13 @@ import random
 
 from hypothesis import strategies as st
 
-from closurecount import Poset
+from closurecount import Poset, enumerate_closure_systems
+
+
+def oracle_count(p: Poset, t: int = 0) -> int:
+    """Closure systems of p containing t, by definitional enumeration: the
+    independent reference for count_closures and for the leaf counter."""
+    return sum(1 for _ in enumerate_closure_systems(p, required=t))
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from closurecount import Poset, enumerate_closure_systems
 from closurecount.cli import main
 
 DIAMOND_TEXT = "4\n0 1\n0 2\n1 3\n2 3\n"
@@ -61,6 +62,19 @@ class TestCount:
         rc, out, _ = run(capsys, "count", "--gen", "powerset:4",
                          "--cap", "5", "--force")
         assert (rc, out) == (0, "2480\n")
+
+    def test_wide_leaf_with_force(self, capsys, tmp_path):
+        # one 70-element leaf: 14 minimal elements under 56 maximal ones,
+        # minimal 0..3 free to leave (one upper cover each); masks this wide
+        # once overflowed a fixed-width kernel with a traceback and exit 1
+        edges = [(i, 14 + i) for i in range(4)]
+        edges += [(i, j) for i in range(4, 14) for j in range(14, 70)]
+        f = tmp_path / "wide.txt"
+        f.write_text("70\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        rc, out, err = run(capsys, "count", str(f), "--force")
+        want = sum(1 for _ in enumerate_closure_systems(Poset(70, edges), cap=None))
+        assert (rc, err) == (0, "")
+        assert int(out) == want == 16
 
     @pytest.mark.parametrize("argv", [
         ("count",),                                   # no input at all

@@ -1,4 +1,4 @@
-"""Closure systems, closure operators, and brute-force enumeration.
+"""Closure systems, closure operators, enumeration and the leaf counter.
 
 Expected counts in this file were produced by running the definitional
 enumeration itself (and, where a published value exists, agree with it:
@@ -7,8 +7,13 @@ powerset of a 3-element set has 61 closure systems).
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import closurecount
 from closurecount import (ClosureOperator, InvalidOperatorError,
                           NoGreatestElementError, Poset, TooLargeError, bits,
                           chain, count_closure_systems_bruteforce,
@@ -17,8 +22,7 @@ from closurecount import (ClosureOperator, InvalidOperatorError,
                           is_preclosure_system, least_majorizer, mask_of,
                           operator_from_system, powerset_lattice,
                           system_from_operator, validate_operator)
-from closurecount.closures import _count_vectorized, _free_elements
-from conftest import random_posets
+from conftest import oracle_count, random_posets
 
 
 class TestIsClosureSystem:
@@ -98,16 +102,26 @@ class TestBruteForceCounts:
         assert count_closure_systems_bruteforce(chain(8), cap=None) == 128
 
     def test_vectorized_kernel_agrees_with_pure_loop(self):
-        # drive the kernel directly so small instances exercise it too
+        # the leaf counting kernel (the frontier DP, which replaced the
+        # numpy kernel of this name) against the enumerator's subset loop
         for seed in (3, 4, 5):
             for _, p in random_posets(seed=seed, count=12, max_n=9):
-                forced, free = _free_elements(p, 0)
-                assert _count_vectorized(p, forced, free) == \
-                    count_closure_systems_bruteforce(p)
+                assert count_closure_systems_bruteforce(p) == oracle_count(p)
 
     def test_vectorized_threshold_instance(self):
-        # 15 free elements goes through numpy in the normal path
+        # 15 free elements, 2^15 subsets: the instance that used to cross the
+        # numpy threshold; the DP keeps one frontier slot throughout
         assert count_closure_systems_bruteforce(chain(16)) == 2 ** 15
+
+    def test_import_leaves_numpy_out(self):
+        src = os.path.dirname(os.path.dirname(closurecount.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, closurecount; print('numpy' in sys.modules)"],
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestCryptomorphism:

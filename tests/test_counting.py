@@ -2,7 +2,8 @@
 
 Counts here were frozen from the brute-force oracle before the counter
 existed; the counter must reproduce them through whatever split path it
-picks.
+picks. The live oracle is conftest.oracle_count, the definitional
+enumerator, never the leaf counter that the decomposition itself uses.
 """
 
 from __future__ import annotations
@@ -10,9 +11,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from closurecount import (EmptyPosetError, IsoKind, Poset, TooLargeError,
-                          antichain, bruteforce_candidates,
+                          antichain, bits, bruteforce_candidates,
                           bruteforce_search_space, chain,
                           count_closure_systems_bruteforce, count_closures,
                           diamond, enumerate_closure_systems, explain,
@@ -20,7 +23,7 @@ from closurecount import (EmptyPosetError, IsoKind, Poset, TooLargeError,
                           mask_of, powerset_lattice, project_set, quotient_by,
                           random_submask, stacked, trace_nodes)
 from closurecount.selfcheck import disjointness_violations
-from conftest import random_poset, random_posets
+from conftest import oracle_count, posets, random_poset, random_posets
 
 GLUED = Poset(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -53,8 +56,26 @@ class TestFrozenInstances:
         (CHAIN_TWO_TOPS, mask_of([1]), 2),
     ])
     def test_constrained(self, p, t, want):
-        assert count_closure_systems_bruteforce(p, t) == want  # oracle agrees
+        assert oracle_count(p, t) == want
         assert count_closures(p, t).value == want
+
+
+class TestKnownValues:
+    """Pinned values; powerset:5 and the constrained six-level stacks are
+    single leaves that an element cap of 22 used to refuse."""
+
+    @pytest.mark.parametrize("k,want", [(4, 2480), (5, 1_385_552)])
+    def test_moore_families(self, k, want):
+        # closure systems of a powerset lattice are the Moore families on a
+        # k-set (Habib and Nourine 2005); powerset:5 is one 32-element leaf
+        assert count_closures(powerset_lattice(k)).value == want
+
+    @pytest.mark.parametrize("required,want", [
+        ([8, 18, 23], 921_984), ([19], 1_882_384), ([3, 10, 12], 460_992),
+    ])
+    def test_constrained_six_level_stack(self, required, want):
+        p = stacked(powerset_lattice(2), 6)
+        assert count_closures(p, mask_of(required)).value == want
 
 
 class TestDispatch:
@@ -100,7 +121,7 @@ class TestDispatch:
         assert iso.members & t
         result = count_closures(p, t)
         assert result.trace.kind != "summit" or not result.trace.iso.members & t
-        assert result.value == count_closure_systems_bruteforce(p, t)
+        assert result.value == oracle_count(p, t)
 
     def test_maximal_constraints_are_free(self):
         p = CHAIN_TWO_TOPS
@@ -119,7 +140,7 @@ class TestDispatch:
         trace = count_closures(p).trace
         assert trace.kind == "bottleneck"
         assert trace.iso.bottom == 0
-        assert trace.value == 16 == count_closure_systems_bruteforce(p)
+        assert trace.value == 16 == oracle_count(p)
 
 
 class TestAgainstOracle:
@@ -128,8 +149,7 @@ class TestAgainstOracle:
         for _ in range(80):
             p = random_poset(rng, rng.randint(1, 9))
             t = random_submask(rng, p.full_mask, 3)
-            assert count_closures(p, t).value == \
-                count_closure_systems_bruteforce(p, t)
+            assert count_closures(p, t).value == oracle_count(p, t)
 
     def test_trace_values_are_internally_consistent(self):
         for _, p in random_posets(seed=103, count=40, max_n=9):
@@ -164,7 +184,7 @@ class TestAgainstOracle:
                 cls = 1 << qr.collapsed
                 q_with = sum(1 for c in qsystems if c & cls)
                 sub, _ = p.restrict(iso.members)
-                inner = count_closure_systems_bruteforce(sub)
+                inner = oracle_count(sub)
                 if iso.kind is IsoKind.SUMMIT:
                     assert len(systems) == len(qsystems) * inner
                 else:
@@ -179,6 +199,35 @@ class TestAgainstOracle:
             p = random_poset(rng, rng.randint(1, 9))
             t = random_submask(rng, p.full_mask, 3)
             assert disjointness_violations(count_closures(p, t).trace) == 0
+
+
+class TestMetamorphic:
+    @seed(2302)
+    @settings(max_examples=80, deadline=None)
+    @given(posets(max_n=9), st.data())
+    def test_relabelling_invariance(self, p, data):
+        # the leaf decides elements in a label-dependent linear extension
+        perm = data.draw(st.permutations(range(p.n)))
+        t = data.draw(st.integers(min_value=0, max_value=p.full_mask))
+        q = Poset(p.n, [(perm[u], perm[v]) for u, v in p.covers])
+        qt = mask_of(perm[x] for x in bits(t))
+        want = count_closures(p, t).value
+        assert count_closures(q, qt).value == want
+        assert count_closure_systems_bruteforce(q, qt) == want
+        assert count_closure_systems_bruteforce(p, t) == want
+
+    @seed(13)
+    @settings(max_examples=60, deadline=None)
+    @given(posets(max_n=7), posets(max_n=7), st.data())
+    def test_product_law_on_disjoint_unions(self, p, q, data):
+        tp = data.draw(st.integers(min_value=0, max_value=p.full_mask))
+        tq = data.draw(st.integers(min_value=0, max_value=q.full_mask))
+        union = Poset(p.n + q.n, list(p.covers)
+                      + [(u + p.n, v + p.n) for u, v in q.covers])
+        t = tp | tq << p.n
+        want = oracle_count(p, tp) * oracle_count(q, tq)
+        assert count_closures(union, t).value == want
+        assert count_closure_systems_bruteforce(union, t) == want
 
 
 class TestLimitsAndErrors:
@@ -232,7 +281,7 @@ class TestExplain:
 
     def test_brute_line(self):
         text = explain(count_closures(powerset_lattice(3)).trace)
-        assert text == "brute force over 128 candidates -> 61"
+        assert text == "leaf count, search space 128 -> 61"
 
     def test_constraint_note(self):
         text = explain(count_closures(chain(5), mask_of([1])).trace)
