@@ -7,8 +7,8 @@ Subcommands:
   selfcheck  the counter vs the definitional enumerator on random instances
   bench      time the counter against the definitional enumerator, CSV output
 
-Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage,
-3 size refusal without --force (a leaf count past its --cap state budget, or
+Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage
+(an element count above poset.MAX_ELEMENTS among them), 3 size refusal without --force (a leaf count past its --cap state budget, or
 the enumerator above its element cap).
 """
 

@@ -12,8 +12,8 @@ decomposition are both validated against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Optional
+import math
+from typing import Iterator, NamedTuple, Optional
 
 from .bitset import ElementSet, bits, mask_of
 from .errors import InvalidOperatorError, NoGreatestElementError, TooLargeError
@@ -23,16 +23,14 @@ DEFAULT_BRUTE_CAP = 1 << 20  # leaf states; powerset:5 visits about 694k
 DEFAULT_ENUM_CAP = 22  # elements, for the 2^free subset enumeration
 
 
-@dataclass(frozen=True)
-class ClosureSystem:
+class ClosureSystem(NamedTuple):
     """A closure system as a member bitmask of its poset."""
 
     poset: Poset
     members: ElementSet
 
 
-@dataclass(frozen=True)
-class ClosureOperator:
+class ClosureOperator(NamedTuple):
     """A closure operator as an image tuple: image[x] is the closure of x."""
 
     poset: Poset
@@ -148,8 +146,9 @@ def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
     the members above x are the union of the members above those covers.
     Later decisions read cl only on the frontier, the decided elements with
     an undecided lower cover, so a state is the tuple of frontier cl values
-    and equal states merge. Raises TooLargeError once more than `cap` states
-    have been visited in total (pass cap=None to lift it).
+    and equal states merge. Raises TooLargeError as soon as more than `cap`
+    states have been visited in total, checked after every state expanded,
+    so no step grows past the budget (pass cap=None to lift it).
     """
     forced, _ = _free_elements(p, required)
     undecided_below = [len(p.cover_pred[x]) for x in range(p.n)]
@@ -165,6 +164,7 @@ def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
         may_leave = not (forced >> x) & 1
         nxt = {}
         least = {}  # cl values of x's upper covers -> their least, or None
+        room = math.inf if cap is None else cap - visited
         for state, ways in layer.items():
             kept = tuple([state[i] for i in keep])
             key = kept + (x,) if joins else kept
@@ -177,10 +177,10 @@ def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
                 if m is not None:
                     key = kept + (m,) if joins else kept
                     nxt[key] = nxt.get(key, 0) + ways
+            if len(nxt) > room:
+                raise TooLargeError(
+                    f"leaf count refused: more than {cap} states (n={p.n})")
         visited += len(nxt)
-        if cap is not None and visited > cap:
-            raise TooLargeError(
-                f"leaf count refused: more than {cap} states (n={p.n})")
         layer = nxt
         frontier = tuple(frontier[i] for i in keep) + ((x,) if joins else ())
     return sum(layer.values())

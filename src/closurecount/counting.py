@@ -25,9 +25,8 @@ own.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .bitset import ElementSet, bits, size
 from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
@@ -39,8 +38,7 @@ from .isolated import (IsolatedSuborder, find_max_bottleneck_isos,
 from .poset import Poset, Shape
 
 
-@dataclass(frozen=True)
-class DecompositionTrace:
+class DecompositionTrace(NamedTuple):
     """One node of the decomposition tree.
 
     kind is one of "special", "components", "summit", "bottleneck", "brute".
@@ -61,8 +59,7 @@ class DecompositionTrace:
     search_space: int = 0
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(NamedTuple):
     value: int
     trace: DecompositionTrace
 

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ParseError
-from .poset import Poset
+from .poset import MAX_ELEMENTS, Poset
 
 
-@dataclass
-class PosetFileData:
+class PosetFileData(NamedTuple):
     n: int
     edges: list
     labels: Optional[list]
@@ -57,6 +55,9 @@ def _parse_edge_text(text: str) -> PosetFileData:
                 raise ParseError(f"element count is not an integer: {fields[0]!r}", lineno) from None
             if n < 0:
                 raise ParseError(f"element count must be nonnegative, got {n}", lineno)
+            if n > MAX_ELEMENTS:
+                raise ParseError(f"element count {n} is above the limit of {MAX_ELEMENTS}",
+                                 lineno)
             continue
         if len(fields) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", lineno)
@@ -84,6 +85,8 @@ def _parse_json(text: str) -> PosetFileData:
     n = obj["n"]
     if n < 0:
         raise ParseError(f'"n" must be nonnegative, got {n}')
+    if n > MAX_ELEMENTS:
+        raise ParseError(f'"n" = {n} is above the limit of {MAX_ELEMENTS}')
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be an array of [u, v] pairs')

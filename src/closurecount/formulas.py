@@ -12,8 +12,7 @@ write-ups disagree with enumeration, and enumeration wins.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .bitset import ElementSet, bits, mask_of, size
 from .poset import Poset, Shape, ShapeKind
@@ -63,8 +62,7 @@ def count_bottomless_diamond(width: int, t: ElementSet = 0) -> int:
     return 1 << (width - constrained)
 
 
-@dataclass(frozen=True)
-class ConstrainedCount:
+class ConstrainedCount(NamedTuple):
     """A closed-form count plus how the constraint set touched the shape."""
 
     value: int

@@ -15,10 +15,11 @@ from __future__ import annotations
 import random
 
 from .bitset import bits
-from .poset import Poset
+from .poset import MAX_ELEMENTS, Poset, check_size
 
 
 def chain(n: int) -> Poset:
+    check_size(n)
     return Poset(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -30,6 +31,7 @@ def diamond(width: int) -> Poset:
     """Bottom, `width` pairwise incomparable belt elements, top."""
     if width < 1:
         raise ValueError("diamond width must be at least 1")
+    check_size(width + 2)
     top = width + 1
     edges = [(0, b) for b in range(1, width + 1)]
     edges += [(b, top) for b in range(1, width + 1)]
@@ -40,6 +42,7 @@ def bottomless_diamond(width: int) -> Poset:
     """`width` pairwise incomparable belt elements under a single top."""
     if width < 1:
         raise ValueError("bottomless diamond width must be at least 1")
+    check_size(width + 1)
     return Poset(width + 1, [(b, width) for b in range(width)])
 
 
@@ -47,6 +50,8 @@ def powerset_lattice(k: int) -> Poset:
     """Subsets of a k-element set ordered by inclusion."""
     if k < 0:
         raise ValueError("powerset exponent must be nonnegative")
+    if k >= MAX_ELEMENTS.bit_length():
+        raise ValueError(f"2^{k} subsets is above the element limit of {MAX_ELEMENTS}")
     n = 1 << k
     edges = [(s, s | (1 << i)) for s in range(n) for i in range(k) if not (s >> i) & 1]
     return Poset(n, edges)
@@ -56,6 +61,7 @@ def stacked(base: Poset, levels: int) -> Poset:
     """`levels` copies of `base`, each level entirely below the next."""
     if levels < 1:
         raise ValueError("need at least one level")
+    check_size(base.n * levels)
     m = base.n
     edges = []
     for j in range(levels):
@@ -71,6 +77,7 @@ def random_connected_poset(rng: random.Random, n: int) -> Poset:
     probability 3/n, transitively reduced; resampled until connected."""
     if n < 1:
         raise ValueError("need at least one element")
+    check_size(n)
     p_edge = 3.0 / n
     while True:
         order = rng.sample(range(n), n)

@@ -8,17 +8,20 @@ automatically the interval [bot, top].
 
 Two kinds support closed counting formulas: summit suborders (top is maximal
 in the whole poset) and bottleneck suborders (top has a bottleneck, which in
-a finite poset means exactly one upper cover). Detection reduces to vertex
-separators in the Hasse graph augmented with artificial endpoints: [s1, s2]
-is an isolated suborder iff the interval is nonempty, s1 separates the
-artificial bottom from s2, and s2 separates s1 from the artificial top.
+a finite poset means exactly one upper cover). In the Hasse graph augmented
+with artificial endpoints, [s1, s2] is an isolated suborder iff the interval
+is nonempty, s1 separates the artificial bottom from s2, and s2 separates s1
+from the artificial top: s1 dominates s2 and s2 post-dominates s1, a
+single-entry single-exit region (Johnson, Pearson and Pingali, PLDI 1994).
+Detection therefore builds the dominator and post-dominator trees once each
+(Cooper, Harvey and Kennedy 2001) and walks them; is_separator and
+is_isolated_suborder remain the definitional checks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bitset import ElementSet, bits, mask_of, size
 from .errors import NotIsolatedError, SameNodeError
@@ -30,8 +33,7 @@ class IsoKind(Enum):
     SUMMIT = "summit"
 
 
-@dataclass(frozen=True)
-class IsolatedSuborder:
+class IsolatedSuborder(NamedTuple):
     bottom: int
     top: int
     members: ElementSet
@@ -86,20 +88,76 @@ def is_separator(aug: AugmentedPoset, u: int, s: int, t: int) -> bool:
     return not aug.reachable_avoiding(s, t, removed=u)
 
 
+def _idoms(order, preds, root: int) -> list:
+    """Immediate dominators from a virtual root, by one pass in `order`
+    (every node after its predecessors) with the Cooper-Harvey-Kennedy
+    intersect step: climb the deeper of two candidates until they meet.
+    Nodes without predecessors hang under `root`; idom[root] is root."""
+    idom = [root] * (root + 1)
+    depth = [0] * (root + 1)
+    for v in order:
+        ps = preds[v]
+        d = ps[0] if ps else root
+        for u in ps[1:]:
+            while d != u:
+                if depth[d] >= depth[u]:
+                    d = idom[d]
+                else:
+                    u = idom[u]
+        idom[v] = d
+        depth[v] = depth[d] + 1
+    return idom
+
+
 def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
-    """Shared search: for each bottom v keep the last candidate top (in
-    topological order) passing both separator tests, drop trivial or
-    singleton results, then drop results contained in another."""
-    aug = p.augment()
-    best = {}
-    for v in range(p.n):
-        for b in candidate_tops:
-            if not p.lt(v, b):
-                continue
-            if is_separator(aug, v, aug.bot, b) and is_separator(aug, b, v, aug.top):
-                best[v] = b
+    """Shared search: for each bottom v keep the highest candidate top b > v
+    such that [v, b] is isolated, drop trivial or singleton results, then
+    drop results contained in another.
+
+    [v, b] is isolated iff v dominates b from the artificial bottom and b
+    post-dominates v toward the artificial top (the separator
+    characterization). The tops of v are therefore on v's post-dominator
+    chain, which climbs in the order, and the walk up that chain stops at
+    the first node v does not dominate: a path from the bottom to it that
+    avoids v extends upward to every later node of the chain without
+    meeting v, since v lies below them all.
+    """
+    n = p.n
+    idom = _idoms(p.topo, p.cover_pred, n)
+    ipdom = _idoms(reversed(p.topo), p.cover_succ, n)
+    # preorder numbers of the dominator tree: v dominates w iff
+    # first[v] <= first[w] < first[v] + span[v]
+    span = [1] * (n + 1)
+    for v in reversed(p.topo):
+        span[idom[v]] += span[v]
+    first = [0] * (n + 1)
+    next_free = [1] * (n + 1)
+    for v in p.topo:
+        parent = idom[v]
+        first[v] = next_free[parent]
+        next_free[parent] += span[v]
+        next_free[v] = first[v] + 1
+    is_top = mask_of(candidate_tops)
+    # Walking from v may jump from a chain node b straight to stop[b], the
+    # first node of b's chain that b does not dominate: v dominates b, so
+    # it dominates everything b does. last[b] is the highest candidate top
+    # from b itself up to below stop[b], best[v] the highest above v.
+    best = [None] * n
+    stop = [n] * n
+    last = [None] * n
+    for v in reversed(p.topo):
+        lo, hi = first[v], first[v] + span[v]
+        b = ipdom[v]
+        while b != n and lo <= first[b] < hi:
+            if last[b] is not None:
+                best[v] = last[b]
+            b = stop[b]
+        stop[v] = b
+        last[v] = v if best[v] is None and (is_top >> v) & 1 else best[v]
     found = []
-    for v, b in best.items():
+    for v, b in enumerate(best):
+        if b is None:
+            continue
         members = p.interval(v, b)
         if members != p.full_mask and size(members) >= 2:
             found.append(IsolatedSuborder(v, b, members, kind))
@@ -131,8 +189,7 @@ def find_max_summit_isos(p: Poset) -> list:
     return _max_isos(p, tops, IsoKind.SUMMIT)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     """Quotient of a poset by one isolated suborder.
 
     quotient   the collapsed poset

@@ -10,12 +10,25 @@ queries speak bitmasks; see bitset.ElementSet.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bitset import ElementSet, bits, mask_of, size
 from .errors import CycleError, EmptySetError
+
+
+# Largest element count accepted: reach, up_incl, down and down_incl each
+# hold n masks of n bits, n^2/8 bytes apiece, which is 32 MiB each here.
+MAX_ELEMENTS = 1 << 14
+
+
+def check_size(n: int) -> int:
+    """Return n, or raise ValueError if it is negative or above MAX_ELEMENTS."""
+    if n < 0:
+        raise ValueError(f"element count must be nonnegative, got {n}")
+    if n > MAX_ELEMENTS:
+        raise ValueError(f"element count {n} is above the limit of {MAX_ELEMENTS}")
+    return n
 
 
 class ShapeKind(Enum):
@@ -25,8 +38,7 @@ class ShapeKind(Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
-class Shape:
+class Shape(NamedTuple):
     """Recognized closed-form shape. `size` is n for chains, belt width for
     diamonds and bottomless diamonds, and n for OTHER."""
 
@@ -81,9 +93,7 @@ class Poset:
     """
 
     def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None):
-        if n < 0:
-            raise ValueError(f"element count must be nonnegative, got {n}")
-        self.n = n
+        self.n = check_size(n)
         self.full_mask = (1 << n) - 1
 
         succ_in = [set() for _ in range(n)]
@@ -108,39 +118,36 @@ class Poset:
         self.up_incl = tuple(reach[x] | (1 << x) for x in range(n))
 
         down = [0] * n
-        for x in range(n):
-            for y in bits(reach[x]):
-                down[y] |= 1 << x
+        for v in self.topo:
+            acc = 0
+            for u in pred_in[v]:
+                acc |= (1 << u) | down[u]
+            down[v] = acc
         self.down = tuple(down)
         self.down_incl = tuple(down[x] | (1 << x) for x in range(n))
 
         cover_succ = []
         covers = []
+        pred = [[] for _ in range(n)]  # ascending, since u ascends
         for u in range(n):
+            succ = succ_in[u]
             implied = 0
-            for w in succ_in[u]:
+            for w in succ:
                 implied |= reach[w]
-            ups = tuple(v for v in sorted(succ_in[u]) if not (implied >> v) & 1)
+            ups = tuple(sorted([v for v in succ if not (implied >> v) & 1]))
             cover_succ.append(ups)
-            covers.extend((u, v) for v in ups)
+            for v in ups:
+                covers.append((u, v))
+                pred[v].append(u)
         self.cover_succ = tuple(cover_succ)
         self.covers = frozenset(covers)
-        pred = [[] for _ in range(n)]
-        for u, v in covers:
-            pred[v].append(u)
-        self.cover_pred = tuple(tuple(sorted(ps)) for ps in pred)
+        self.cover_pred = tuple(map(tuple, pred))
 
         self.maximal_mask = mask_of(x for x in range(n) if not reach[x])
         self.minimal_mask = mask_of(x for x in range(n) if not down[x])
         self.labels = tuple(labels) if labels is not None else None
         if self.labels is not None and len(self.labels) != n:
             raise ValueError(f"expected {n} labels, got {len(self.labels)}")
-
-    @classmethod
-    def from_cover_edges(cls, n: int, edges: Iterable[tuple], labels=None) -> "Poset":
-        """Build from order relations. Despite the name, arbitrary relation
-        edges (not only covers) are fine; shortcuts are reduced away."""
-        return cls(n, edges, labels)
 
     def _toposort(self, succ_in, pred_in) -> tuple:
         n = self.n
@@ -274,15 +281,31 @@ class Poset:
     def restrict(self, s: ElementSet) -> tuple:
         """Suborder induced on s. Returns (poset, idmap) where idmap[i] is the
         original id of new element i; order is inherited, so elements kept
-        from a chain stay a chain even if middles were dropped."""
+        from a chain stay a chain even if middles were dropped.
+
+        From each member a search climbs covers through non-members that
+        still have a member above them, and stops at every member it meets;
+        the edges to those members generate the induced order, and the
+        constructor reduces them. On a convex s no climb leaves s, so only
+        the covers inside s are read.
+        """
         if not s:
             raise EmptySetError("cannot restrict to the empty set")
         idmap = tuple(bits(s))
+        new_id = {x: i for i, x in enumerate(idmap)}
+        cover_succ = self.cover_succ
+        reach = self.reach
         edges = []
         for i, x in enumerate(idmap):
-            for j, y in enumerate(idmap):
-                if i != j and self.lt(x, y):
-                    edges.append((i, j))
+            seen = 0
+            stack = [x]
+            while stack:
+                for y in cover_succ[stack.pop()]:
+                    if (s >> y) & 1:
+                        edges.append((i, new_id[y]))
+                    elif reach[y] & s and not (seen >> y) & 1:
+                        seen |= 1 << y
+                        stack.append(y)
         labels = tuple(self.labels[x] for x in idmap) if self.labels else None
         return Poset(len(idmap), edges, labels), idmap
 
@@ -329,8 +352,7 @@ class Poset:
         return f"Poset(n={self.n}, covers={sorted(self.covers)})"
 
 
-@dataclass(frozen=True)
-class AugmentedPoset:
+class AugmentedPoset(NamedTuple):
     """Hasse digraph of a poset plus artificial endpoints bot and top."""
 
     base: Poset

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .closures import DEFAULT_BRUTE_CAP, enumerate_closure_systems
 from .counting import count_closures, trace_nodes
@@ -19,8 +19,7 @@ from .generators import random_connected_poset, random_submask
 from .poset import Poset
 
 
-@dataclass
-class Failure:
+class Failure(NamedTuple):
     index: int
     poset: Poset
     t: int
@@ -28,14 +27,13 @@ class Failure:
     want: int
 
 
-@dataclass
-class SelfCheckReport:
+class SelfCheckReport(NamedTuple):
     instances: int
     seed: int
     max_size: int
-    failures: list = field(default_factory=list)
-    disjointness_violations: int = 0
-    seconds: float = 0.0
+    failures: list
+    disjointness_violations: int
+    seconds: float
 
     @property
     def ok(self) -> bool:
@@ -60,7 +58,8 @@ def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
     regenerated from its report.
     """
     rng = random.Random(seed)
-    report = SelfCheckReport(instances=instances, seed=seed, max_size=max_size)
+    failures = []
+    violations = 0
     t0 = time.perf_counter()
     for i in range(instances):
         n = rng.randint(1, max_size)
@@ -69,7 +68,7 @@ def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
         want = sum(1 for _ in enumerate_closure_systems(p, t))
         result = count_closures(p, t, cap=cap)
         if result.value != want:
-            report.failures.append(Failure(i, p, t, result.value, want))
-        report.disjointness_violations += disjointness_violations(result.trace)
-    report.seconds = time.perf_counter() - t0
-    return report
+            failures.append(Failure(i, p, t, result.value, want))
+        violations += disjointness_violations(result.trace)
+    return SelfCheckReport(instances, seed, max_size, failures, violations,
+                           time.perf_counter() - t0)

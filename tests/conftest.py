@@ -30,6 +30,12 @@ def random_poset(rng: random.Random, n: int) -> Poset:
     return Poset(n, edges)
 
 
+def relabel(p: Poset, rng: random.Random) -> Poset:
+    """Isomorphic copy of p under a random permutation of the ids."""
+    perm = rng.sample(range(p.n), p.n)
+    return Poset(p.n, [(perm[u], perm[v]) for u, v in p.covers])
+
+
 def random_posets(seed: int, count: int, max_n: int):
     """Deterministic stream of (index, poset) pairs."""
     rng = random.Random(seed)

@@ -88,6 +88,18 @@ class TestCount:
         rc, _, err = run(capsys, *argv)
         assert rc == 2 and err.startswith("error:")
 
+    @pytest.mark.parametrize("text", ["1000000000\n0 1\n",
+                                      '{"n": 1000000000, "edges": []}'])
+    def test_file_above_the_element_limit_is_exit_2(self, capsys, tmp_path, text):
+        f = tmp_path / "huge.txt"
+        f.write_text(text)
+        rc, out, err = run(capsys, "count", str(f))
+        assert (rc, out) == (2, "") and "limit" in err
+
+    def test_spec_above_the_element_limit_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "count", "--gen", "powerset:1000000000")
+        assert (rc, out) == (2, "") and "limit" in err
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "count", str(tmp_path / "absent.txt"))
         assert rc == 2 and err.startswith("error:")

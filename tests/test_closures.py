@@ -7,9 +7,11 @@ powerset of a 3-element set has 61 closure systems).
 
 from __future__ import annotations
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
@@ -100,6 +102,30 @@ class TestBruteForceCounts:
         with pytest.raises(TooLargeError):
             count_closure_systems_bruteforce(chain(8), cap=7)
         assert count_closure_systems_bruteforce(chain(8), cap=None) == 128
+
+    def test_refusal_comes_within_the_step(self):
+        # every belt element of diamond(12) doubles the layer, and a budget
+        # of 2^12 + 8 states runs out early in the last belt step; checked
+        # state by state, the refusal never builds that step's 4096 states
+        # and peaks at about 0.4 of the completed count's memory, where one
+        # that let the step finish would peak near 0.8
+        p = diamond(12)
+
+        def peak(cap):
+            gc.collect()  # also empties the free lists, so every tuple is traced
+            tracemalloc.start()
+            try:
+                count_closure_systems_bruteforce(p, cap=cap)
+            except TooLargeError:
+                pass
+            finally:
+                out = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            return out
+
+        with pytest.raises(TooLargeError):
+            count_closure_systems_bruteforce(p, cap=(1 << 12) + 8)
+        assert peak((1 << 12) + 8) < 0.6 * peak(None)
 
     def test_vectorized_kernel_agrees_with_pure_loop(self):
         # the leaf counting kernel (the frontier DP, which replaced the

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from closurecount import (EmptyPosetError, IsoKind, Poset, TooLargeError,
-                          antichain, bits, bruteforce_candidates,
+from closurecount import (AugmentedPoset, EmptyPosetError, IsoKind, Poset,
+                          TooLargeError, antichain, bits, bruteforce_candidates,
                           bruteforce_search_space, chain,
                           count_closure_systems_bruteforce, count_closures,
                           diamond, enumerate_closure_systems, explain,
@@ -23,7 +23,8 @@ from closurecount import (EmptyPosetError, IsoKind, Poset, TooLargeError,
                           mask_of, powerset_lattice, project_set, quotient_by,
                           random_submask, stacked, trace_nodes)
 from closurecount.selfcheck import disjointness_violations
-from conftest import oracle_count, posets, random_poset, random_posets
+from conftest import (oracle_count, posets, random_poset, random_posets,
+                      relabel)
 
 GLUED = Poset(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -248,6 +249,22 @@ class TestLimitsAndErrors:
 
     def test_formula_paths_ignore_the_cap(self):
         assert count_closures(chain(30), cap=5).value == 2 ** 29
+
+
+class TestQuadraticPathsStayOff:
+    def test_tower_count_without_separator_search_or_all_pairs(self, monkeypatch):
+        # detection walks dominator trees and restrict climbs covers, so a
+        # count never runs a separator search, augments the Hasse graph or
+        # asks lt for every pair of members
+        p = relabel(stacked(diamond(3), 12), random.Random(12))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadratic path taken")
+
+        monkeypatch.setattr(AugmentedPoset, "reachable_avoiding", refuse)
+        monkeypatch.setattr(Poset, "augment", refuse)
+        monkeypatch.setattr(Poset, "lt", refuse)
+        assert count_closures(p).value == 18_260_173_718_028_288
 
 
 class TestSearchSpace:

@@ -10,6 +10,7 @@ import pytest
 from closurecount import (ParseError, Poset, build_poset, chain, diamond,
                           load_poset, parse_poset_text, to_edge_text,
                           to_structured)
+from closurecount.poset import MAX_ELEMENTS
 from conftest import random_posets
 
 EDGE_TEXT = """\
@@ -107,6 +108,29 @@ class TestStructured:
     def test_sniffing_tolerates_leading_whitespace(self):
         assert parse_poset_text('  \n {"n": 1}').fmt == "json"
         assert parse_poset_text("  \n 1\n").fmt == "edges"
+
+
+class TestSizeLimit:
+    # an element count above the limit is refused as soon as it is read,
+    # before anything per element is allocated
+
+    def test_edge_text(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poset_text("1000000000\n0 1\n")
+        assert exc.value.line == 1 and "limit" in str(exc.value)
+
+    def test_json(self):
+        with pytest.raises(ParseError, match="limit"):
+            parse_poset_text('{"n": 1000000000, "edges": [[0, 1]]}')
+
+    def test_the_limit_itself_parses(self):
+        assert parse_poset_text(f"{MAX_ELEMENTS}\n").n == MAX_ELEMENTS
+        with pytest.raises(ParseError, match="limit"):
+            parse_poset_text(f"{MAX_ELEMENTS + 1}\n")
+
+    def test_constructor(self):
+        with pytest.raises(ValueError, match="limit"):
+            Poset(MAX_ELEMENTS + 1, [])
 
 
 class TestRoundTrips:

@@ -113,3 +113,12 @@ class TestFamilySpecs:
     def test_bad_specs(self, spec):
         with pytest.raises(ValueError):
             family(spec)
+
+    @pytest.mark.parametrize("spec", [
+        "chain:1000000000", "antichain:1000000000", "diamond:1000000000",
+        "bottomless:1000000000", "powerset:1000000000", "random:1000000000",
+        "stacked:1000000000", "stacked:1000000000:chain:2",
+    ])
+    def test_specs_above_the_element_limit(self, spec):
+        with pytest.raises(ValueError, match="limit"):
+            family(spec)

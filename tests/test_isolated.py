@@ -7,15 +7,17 @@ maximal suborders against an exhaustive scan over all intervals.
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from closurecount import (IsoKind, IsolatedSuborder, NotIsolatedError, Poset,
-                          SameNodeError, bits, chain, diamond,
+                          SameNodeError, bits, chain, diamond, family,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, is_separator, least_bottleneck,
                           mask_of, powerset_lattice, project_set, quotient_by,
                           size)
-from conftest import random_posets
+from conftest import random_poset, random_posets, relabel
 
 DIAMOND_TOP = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -178,8 +180,22 @@ class TestDetection:
     def test_exactly_the_maximal_useful_suborders(self):
         # exhaustive cross-check: scan every interval for useful isolated
         # suborders of each kind, keep the inclusion-maximal ones, and
-        # demand detection returns exactly that collection
-        for _, p in random_posets(seed=59, count=60, max_n=8):
+        # demand detection returns exactly that collection; inputs are
+        # random posets up to 14 elements (connected or not), relabelled
+        # small towers and disjoint unions
+        rng = random.Random(59)
+        inputs = [p for _, p in random_posets(seed=59, count=60, max_n=8)]
+        inputs += [p for _, p in random_posets(seed=79, count=60, max_n=14)]
+        inputs += [relabel(family(spec), rng)
+                   for spec in ("stacked:2", "stacked:3", "stacked:3:diamond:2",
+                                "stacked:4:chain:2", "stacked:2:bottomless:3",
+                                "stacked:3:bottomless:2")]
+        for _ in range(20):
+            a, b = (random_poset(rng, rng.randint(1, 7)) for _ in range(2))
+            union = Poset(a.n + b.n, list(a.covers)
+                          + [(u + a.n, v + a.n) for u, v in b.covers])
+            inputs.append(relabel(union, rng))
+        for p in inputs:
             for kind, finder in ((IsoKind.SUMMIT, find_max_summit_isos),
                                  (IsoKind.BOTTLENECK, find_max_bottleneck_isos)):
                 kind_ok = {

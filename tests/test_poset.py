@@ -5,7 +5,8 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from closurecount import (CycleError, EmptySetError, Poset, ShapeKind, bits,
                           mask_of)
@@ -217,6 +218,19 @@ class TestRandomizedInvariants:
         for i, x in enumerate(idmap):
             for j, y in enumerate(idmap):
                 assert sub.leq(i, j) == p.leq(x, y)
+
+    @seed(4011)
+    @settings(max_examples=150, deadline=None)
+    @given(posets(max_n=10), st.data())
+    def test_restrict_equals_all_pairs_induced_order(self, p, data):
+        # any s, convex or not: the cover climb yields the poset built from
+        # every induced pair
+        s = data.draw(st.integers(min_value=1, max_value=p.full_mask))
+        sub, idmap = p.restrict(s)
+        want = Poset(len(idmap), [(i, j) for i, x in enumerate(idmap)
+                                  for j, y in enumerate(idmap) if p.lt(x, y)])
+        assert idmap == tuple(bits(s))
+        assert sub == want
 
     @settings(max_examples=80, deadline=None)
     @given(posets(max_n=7))
