@@ -8,8 +8,11 @@ Subcommands:
   bench      time the counter against the definitional enumerator, CSV output
 
 Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage
-(an element count above poset.MAX_ELEMENTS among them), 3 size refusal without --force (a leaf count past its --cap state budget, or
-the enumerator above its element cap).
+(an element count above poset.MAX_ELEMENTS or more relation pairs than
+poset.MAX_EDGES among them), 3 refused as too large: a leaf count past its
+--cap state budget without --force, the enumerator above its element cap, or
+a decomposition nested deeper than the interpreter's recursion limit (the
+quotient side still recurses once per sibling suborder).
 """
 
 from __future__ import annotations
@@ -229,6 +232,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except RecursionError:
+        print(f"error: decomposition nested deeper than the recursion limit "
+              f"({sys.getrecursionlimit()})", file=sys.stderr)
         return 3
     except (ClosureCountError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

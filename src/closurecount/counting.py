@@ -7,6 +7,10 @@ preferring structure over enumeration, in this order:
   2. recognized shapes (chain, diamond, bottomless diamond): closed formula;
   3. a useful summit suborder S' disjoint from t: the systems factor as
      (systems of the quotient) x (systems of S'), since C must meet S';
+     the inside S' (here and in step 4) is counted along its chain of
+     nested summit suborders, read off the dominator tree of S' built
+     within p, one small ring poset per level, instead of being rebuilt
+     and searched again at every level;
   4. a useful bottleneck suborder S' disjoint from t: systems that meet S'
      contribute (quotient systems containing the collapsed class) x
      (2 |C(S')| - 1), where the factor counts the nonempty preclosure
@@ -32,10 +36,11 @@ from .bitset import ElementSet, bits, size
 from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
 from .errors import EmptyPosetError
-from .formulas import count_disconnected, count_special
-from .isolated import (IsolatedSuborder, find_max_bottleneck_isos,
-                       find_max_summit_isos, project_set, quotient_by)
-from .poset import Poset, Shape
+from .formulas import count_chain, count_disconnected, count_special
+from .isolated import (IsolatedSuborder, IsoKind, find_max_bottleneck_isos,
+                       find_max_summit_isos, nested_summit_bottoms,
+                       project_set, quotient_by)
+from .poset import Poset, Shape, ShapeKind
 
 
 class DecompositionTrace(NamedTuple):
@@ -121,10 +126,7 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
         q_origin = tuple(_originals(origin, m) for m in qr.members)
         qt = project_set(qr, t)
         assert not (qt >> qr.collapsed) & 1
-        sub, idmap = p.restrict(iso.members)
-        sub_origin = tuple(origin[x] for x in idmap)
-        iso_orig = _originals(origin, iso.members)
-        inside = _count(sub, 0, sub_origin, cap)
+        inside, iso_orig = _count_inside(p, iso, origin, cap)
         if kind == "summit":
             quot = _count(qr.quotient, qt, q_origin, cap)
             value = quot.value * inside.value
@@ -143,11 +145,64 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
                               t_original=t_orig, search_space=space)
 
 
+def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
+                  cap: Optional[int]) -> tuple:
+    """(_count(P|S, 0) for S = iso.members, the originals of S), without
+    building P|S.
+
+    Counting P|S_i collapses S_{i+1}, the next suborder of the chain
+    S = S_0 > S_1 > ... > S_r from nested_summit_bottoms, so the walk goes
+    up that chain from the innermost S_r, which alone is built and counted
+    as it is. The quotient P|S_i / S_{i+1} is the ring [w_i, w_{i+1}] of p
+    with w_{i+1} standing for the class: a convex set, numbered as
+    quotient_by numbers it. Level i is a summit node over (ring, S_{i+1}),
+    or the chain P|S_i is when the ring and S_{i+1} both are. Each level
+    reads only its ring, plus O(n/64) big-int work per ring member.
+    """
+    top = iso.top
+    bottoms = [iso.bottom] + nested_summit_bottoms(p, iso)
+    inner = p.interval(bottoms[-1], top)
+    sub, idmap = p.restrict(inner)
+    node = _count(sub, 0, tuple(origin[x] for x in idmap), cap)
+    inner_orig = _originals(origin, inner)
+    for i in range(len(bottoms) - 2, -1, -1):
+        v, w = bottoms[i], bottoms[i + 1]
+        outer = p.interval(v, top)
+        ring, ring_ids = p.restrict(p.interval(v, w))
+        ring_node = _count(ring, 0, tuple(inner_orig if x == w else origin[x]
+                                          for x in ring_ids), cap)
+        n = node.n + ring.n - 1
+        outer_orig = inner_orig
+        ring_local = 0  # local ids in P|S_i of the ring minus w
+        for x in ring_ids:
+            if x != w:
+                outer_orig |= origin[x]
+                ring_local |= 1 << (outer & ((1 << x) - 1)).bit_count()
+        if _is_chain(ring_node) and _is_chain(node):
+            node = DecompositionTrace("special", count_chain(n), n,
+                                      shape=Shape(ShapeKind.CHAIN, n))
+        else:
+            local_iso = IsolatedSuborder((outer & ((1 << w) - 1)).bit_count(),
+                                         (outer & ((1 << top) - 1)).bit_count(),
+                                         ((1 << n) - 1) & ~ring_local, IsoKind.SUMMIT)
+            node = DecompositionTrace("summit", ring_node.value * node.value, n,
+                                      children=(ring_node, node), iso=local_iso,
+                                      iso_original=inner_orig)
+        inner_orig = outer_orig
+    return node, inner_orig
+
+
+def _is_chain(node: DecompositionTrace) -> bool:
+    return node.kind == "special" and node.shape.kind is ShapeKind.CHAIN
+
+
 def trace_nodes(trace: DecompositionTrace) -> Iterator[DecompositionTrace]:
     """All nodes of the tree, preorder."""
-    yield trace
-    for child in trace.children:
-        yield from trace_nodes(child)
+    stack = [trace]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children))
 
 
 def bruteforce_candidates(trace: DecompositionTrace) -> int:
@@ -160,8 +215,9 @@ def explain(trace: DecompositionTrace) -> str:
     """Human-readable rendering of the decomposition tree, one node per
     line, children indented under their parent."""
     out = []
-
-    def walk(node: DecompositionTrace, depth: int) -> None:
+    stack = [(trace, 0)]
+    while stack:
+        node, depth = stack.pop()
         pad = "  " * depth
         t_note = f" [|T|={size(node.t_original)}]" if node.t_original else ""
         if node.kind == "special":
@@ -182,8 +238,5 @@ def explain(trace: DecompositionTrace) -> str:
         else:
             out.append(f"{pad}leaf count, search space {node.search_space}"
                        f" -> {node.value}{t_note}")
-        for child in node.children:
-            walk(child, depth + 1)
-
-    walk(trace, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(out)

@@ -20,7 +20,7 @@ import sys
 from typing import NamedTuple, Optional
 
 from .errors import ParseError
-from .poset import MAX_ELEMENTS, Poset
+from .poset import MAX_EDGES, MAX_ELEMENTS, Poset
 
 
 class PosetFileData(NamedTuple):
@@ -67,6 +67,8 @@ def _parse_edge_text(text: str) -> PosetFileData:
             raise ParseError(f"edge endpoints are not integers: {line!r}", lineno) from None
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u}, {v}) out of range for n={n}", lineno)
+        if len(edges) == MAX_EDGES:
+            raise ParseError(f"more than {MAX_EDGES} edges", lineno)
         edges.append((u, v))
     if n is None:
         raise ParseError("empty input: no element count found")
@@ -90,6 +92,8 @@ def _parse_json(text: str) -> PosetFileData:
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be an array of [u, v] pairs')
+    if len(raw_edges) > MAX_EDGES:
+        raise ParseError(f"{len(raw_edges)} edges is above the limit of {MAX_EDGES}")
     edges = []
     for i, pair in enumerate(raw_edges):
         if (not isinstance(pair, list) or len(pair) != 2

@@ -63,13 +63,10 @@ def count_bottomless_diamond(width: int, t: ElementSet = 0) -> int:
 
 
 class ConstrainedCount(NamedTuple):
-    """A closed-form count plus how the constraint set touched the shape."""
+    """A closed-form count and the shape it came from."""
 
     value: int
     shape: Shape
-    contains_bottom: bool
-    belt_hits: int
-    contains_top: bool
 
 
 def count_special(p: Poset, t: ElementSet = 0) -> Optional[ConstrainedCount]:
@@ -80,14 +77,7 @@ def count_special(p: Poset, t: ElementSet = 0) -> Optional[ConstrainedCount]:
         return None
     if shape.kind is ShapeKind.CHAIN:
         canonical = mask_of(size(p.down[x]) for x in bits(t))
-        value = count_chain(shape.size, canonical)
-        top = p.greatest_element()
-        bot = p.least_element()
-        interior = t & ~(1 << top) & ~(1 << bot) if p.n > 1 else 0
-        return ConstrainedCount(value, shape,
-                                contains_bottom=bool(p.n > 1 and (t >> bot) & 1),
-                                belt_hits=size(interior),
-                                contains_top=bool((t >> top) & 1))
+        return ConstrainedCount(count_chain(shape.size, canonical), shape)
     top = p.greatest_element()
     if shape.kind is ShapeKind.DIAMOND:
         bot = p.least_element()
@@ -95,18 +85,12 @@ def count_special(p: Poset, t: ElementSet = 0) -> Optional[ConstrainedCount]:
         to_canonical = {bot: 0, top: shape.size + 1}
         to_canonical.update((x, i + 1) for i, x in enumerate(belt))
         canonical = mask_of(to_canonical[x] for x in bits(t))
-        return ConstrainedCount(count_diamond(shape.size, canonical), shape,
-                                contains_bottom=bool((t >> bot) & 1),
-                                belt_hits=size(canonical & mask_of(range(1, shape.size + 1))),
-                                contains_top=bool((t >> top) & 1))
+        return ConstrainedCount(count_diamond(shape.size, canonical), shape)
     belt = sorted(bits(p.full_mask & ~(1 << top)))
     to_canonical = {top: shape.size}
     to_canonical.update((x, i) for i, x in enumerate(belt))
     canonical = mask_of(to_canonical[x] for x in bits(t))
-    return ConstrainedCount(count_bottomless_diamond(shape.size, canonical), shape,
-                            contains_bottom=False,
-                            belt_hits=size(canonical & mask_of(range(shape.size))),
-                            contains_top=bool((t >> top) & 1))
+    return ConstrainedCount(count_bottomless_diamond(shape.size, canonical), shape)
 
 
 def count_disconnected(p: Poset, t: ElementSet,

@@ -8,6 +8,7 @@ Canonical element layouts (tests rely on these ids):
   powerset_lattice(k)    element ids are the subset bitmasks 0..2^k-1
   stacked(base, k)       level j occupies ids j*base.n..(j+1)*base.n-1,
                          everything in level j below everything in level j+1
+                         (emitted as maximal(j) x minimal(j+1) pairs)
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 
 from .bitset import bits
-from .poset import MAX_ELEMENTS, Poset, check_size
+from .poset import MAX_EDGES, MAX_ELEMENTS, Poset, check_size
 
 
 def chain(n: int) -> Poset:
@@ -63,12 +64,17 @@ def stacked(base: Poset, levels: int) -> Poset:
         raise ValueError("need at least one level")
     check_size(base.n * levels)
     m = base.n
+    tops = list(bits(base.maximal_mask))
+    bottoms = list(bits(base.minimal_mask))
+    pairs = levels * len(base.covers) + (levels - 1) * len(tops) * len(bottoms)
+    if pairs > MAX_EDGES:
+        raise ValueError(f"{pairs} relation pairs is above the limit of {MAX_EDGES}")
     edges = []
     for j in range(levels):
         off = j * m
         edges += [(u + off, v + off) for (u, v) in base.covers]
         if j + 1 < levels:
-            edges += [(u + off, v + off + m) for u in range(m) for v in range(m)]
+            edges += [(u + off, v + off + m) for u in tops for v in bottoms]
     return Poset(m * levels, edges)
 
 

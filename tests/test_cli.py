@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from closurecount import Poset, enumerate_closure_systems
+from closurecount import cli
 from closurecount.cli import main
 
 DIAMOND_TEXT = "4\n0 1\n0 2\n1 3\n2 3\n"
@@ -99,6 +100,23 @@ class TestCount:
     def test_spec_above_the_element_limit_is_exit_2(self, capsys):
         rc, out, err = run(capsys, "count", "--gen", "powerset:1000000000")
         assert (rc, out) == (2, "") and "limit" in err
+
+    def test_spec_above_the_edge_limit_is_exit_2(self, capsys):
+        rc, out, err = run(capsys, "count", "--gen", "stacked:2:antichain:8192")
+        assert (rc, out) == (2, "") and "limit" in err
+
+    def test_deep_tower(self, capsys):
+        rc, out, _ = run(capsys, "count", "--gen", "stacked:600")
+        assert (rc, out) == (0, f"{7 * 14 ** 599}\n")
+
+    def test_recursion_error_is_exit_3(self, capsys, monkeypatch):
+        def too_deep(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "count_closures", too_deep)
+        rc, out, err = run(capsys, "count", "--gen", "chain:3")
+        assert (rc, out) == (3, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "count", str(tmp_path / "absent.txt"))

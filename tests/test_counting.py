@@ -9,6 +9,7 @@ enumerator, never the leaf counter that the decomposition itself uses.
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, seed, settings
@@ -18,10 +19,11 @@ from closurecount import (AugmentedPoset, EmptyPosetError, IsoKind, Poset,
                           TooLargeError, antichain, bits, bruteforce_candidates,
                           bruteforce_search_space, chain,
                           count_closure_systems_bruteforce, count_closures,
-                          diamond, enumerate_closure_systems, explain,
+                          diamond, enumerate_closure_systems, explain, family,
                           find_max_bottleneck_isos, find_max_summit_isos,
-                          mask_of, powerset_lattice, project_set, quotient_by,
-                          random_submask, stacked, trace_nodes)
+                          is_isolated_suborder, mask_of, powerset_lattice,
+                          project_set, quotient_by, random_submask, size,
+                          stacked, trace_nodes)
 from closurecount.selfcheck import disjointness_violations
 from conftest import (oracle_count, posets, random_poset, random_posets,
                       relabel)
@@ -31,6 +33,9 @@ SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
                             (3, 4), (3, 5), (4, 6), (5, 6)])
 CHAIN_TWO_TOPS = Poset(5, [(0, 1), (1, 2), (2, 3), (2, 4)])
 DIAMOND_TOP = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
+# 0 < 1, then a diamond 1 < {2, 3} < 4, then the chain 4 < 5 < 6 < 7
+CHAIN_ABOVE_DIAMOND = Poset(8, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4),
+                                (4, 5), (5, 6), (6, 7)])
 
 
 class TestFrozenInstances:
@@ -265,6 +270,64 @@ class TestQuadraticPathsStayOff:
         monkeypatch.setattr(Poset, "augment", refuse)
         monkeypatch.setattr(Poset, "lt", refuse)
         assert count_closures(p).value == 18_260_173_718_028_288
+
+
+class TestNestedSuborders:
+    """The inside of a suborder is counted along its chain of nested summit
+    suborders, one ring per level, without rebuilding each level."""
+
+    def test_deep_tower_under_the_default_recursion_limit(self):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            assert count_closures(family("stacked:600")).value == 7 * 14 ** 599
+        finally:
+            sys.setrecursionlimit(limit)
+
+    def test_tower_builds_at_most_twice_its_elements(self, monkeypatch):
+        p = family("stacked:40")
+        built = []
+        init = Poset.__init__
+
+        def counting_init(self, n, *args, **kwargs):
+            built.append(n)
+            init(self, n, *args, **kwargs)
+
+        monkeypatch.setattr(Poset, "__init__", counting_init)
+        assert count_closures(p).value == 7 * 14 ** 39
+        assert sum(built) <= 2 * p.n
+
+    def test_levels_carry_the_original_ids_of_their_suborders(self):
+        p = relabel(stacked(diamond(2), 6), random.Random(6))
+        node = count_closures(p).trace
+        levels = 0
+        while node.kind == "summit":
+            assert is_isolated_suborder(p, node.iso_original)
+            assert size(node.iso_original) == node.iso.n
+            node = node.children[1]
+            levels += 1
+        assert levels > 5
+
+    def test_chain_levels_merge_into_one_chain(self):
+        result = count_closures(CHAIN_ABOVE_DIAMOND)
+        assert result.value == oracle_count(CHAIN_ABOVE_DIAMOND) == 112
+        assert explain(result.trace).splitlines() == [
+            "summit suborder [1,7] of 7 elements: 112 = 2 * 56",
+            "  chain n=2 -> 2",
+            "  summit suborder [3,6] of 4 elements: 56 = 7 * 8",
+            "    diamond width 2 -> 7",
+            "    chain n=4 -> 8",
+        ]
+
+    @seed(4417)
+    @settings(max_examples=40, deadline=None)
+    @given(posets(max_n=3), st.integers(min_value=2, max_value=4), st.data())
+    def test_relabelled_towers_agree_with_enumeration(self, base, levels, data):
+        tower = stacked(base, levels)
+        perm = data.draw(st.permutations(range(tower.n)))
+        p = Poset(tower.n, [(perm[u], perm[v]) for u, v in tower.covers])
+        t = data.draw(st.integers(min_value=0, max_value=p.full_mask))
+        assert count_closures(p, t).value == oracle_count(p, t)
 
 
 class TestSearchSpace:

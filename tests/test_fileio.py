@@ -7,10 +7,11 @@ import random
 
 import pytest
 
+from closurecount import fileio
 from closurecount import (ParseError, Poset, build_poset, chain, diamond,
                           load_poset, parse_poset_text, to_edge_text,
                           to_structured)
-from closurecount.poset import MAX_ELEMENTS
+from closurecount.poset import MAX_EDGES, MAX_ELEMENTS
 from conftest import random_posets
 
 EDGE_TEXT = """\
@@ -131,6 +132,28 @@ class TestSizeLimit:
     def test_constructor(self):
         with pytest.raises(ValueError, match="limit"):
             Poset(MAX_ELEMENTS + 1, [])
+
+
+class TestEdgeLimit:
+    # relation pairs past poset.MAX_EDGES are refused while reading, the
+    # readers with a lowered limit so the inputs stay small
+
+    def test_edge_text(self, monkeypatch):
+        monkeypatch.setattr(fileio, "MAX_EDGES", 3)
+        assert len(parse_poset_text("3\n0 1\n1 2\n0 2\n").edges) == 3
+        with pytest.raises(ParseError) as exc:
+            parse_poset_text("3\n0 1\n1 2\n0 2\n0 1\n")
+        assert exc.value.line == 5 and "edges" in str(exc.value)
+
+    def test_json(self, monkeypatch):
+        monkeypatch.setattr(fileio, "MAX_EDGES", 3)
+        with pytest.raises(ParseError, match="limit"):
+            parse_poset_text('{"n": 2, "edges": [[0, 1], [0, 1], [0, 1], [0, 1]]}')
+
+    def test_constructor(self):
+        Poset(2, ((0, 1) for _ in range(MAX_EDGES)))
+        with pytest.raises(ValueError, match="relation pairs"):
+            Poset(2, ((0, 1) for _ in range(MAX_EDGES + 1)))
 
 
 class TestRoundTrips:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from closurecount import (Poset, ShapeKind, bottomless_diamond, chain,
+from closurecount import (Poset, Shape, ShapeKind, bottomless_diamond, chain,
                           count_bottomless_diamond, count_chain, count_closures,
                           count_diamond, count_disconnected, count_special,
                           diamond, enumerate_closure_systems, mask_of)
@@ -111,7 +111,8 @@ class TestCountSpecial:
     def test_constraint_summary(self):
         p = diamond(3)
         cc = count_special(p, mask_of([0, 2, 3, 4]))
-        assert (cc.contains_bottom, cc.belt_hits, cc.contains_top) == (True, 2, True)
+        assert cc.value == 2
+        assert cc.shape == Shape(ShapeKind.DIAMOND, 3)
 
     def test_unrecognized_shape(self):
         p = Poset(4, [(0, 1), (0, 2), (1, 3)])

@@ -54,6 +54,14 @@ class TestFamilies:
         # covers across levels connect level-0 maxima to level-1 minima only
         assert (3, 4) in p.covers and (0, 4) not in p.covers
 
+    @pytest.mark.parametrize("base", [diamond(2), bottomless_diamond(3), antichain(3),
+                                      powerset_lattice(3), chain(1)])
+    def test_stacked_equals_all_pairs_between_levels(self, base):
+        m = base.n
+        edges = list(base.covers) + [(u + m, v + m) for u, v in base.covers]
+        edges += [(u, v + m) for u in range(m) for v in range(m)]
+        assert stacked(base, 2) == Poset(2 * m, edges)
+
     def test_stacked_one_level_is_base(self):
         base = diamond(2)
         assert stacked(base, 1) == base
@@ -122,3 +130,9 @@ class TestFamilySpecs:
     def test_specs_above_the_element_limit(self, spec):
         with pytest.raises(ValueError, match="limit"):
             family(spec)
+
+    def test_spec_above_the_edge_limit(self):
+        # within the element limit, but 2^26 pairs between the two levels:
+        # refused before any list of them is built
+        with pytest.raises(ValueError, match="limit"):
+            family("stacked:2:antichain:8192")

@@ -17,6 +17,7 @@ from closurecount import (IsoKind, IsolatedSuborder, NotIsolatedError, Poset,
                           is_isolated_suborder, is_separator, least_bottleneck,
                           mask_of, powerset_lattice, project_set, quotient_by,
                           size)
+from closurecount.isolated import nested_summit_bottoms
 from conftest import random_poset, random_posets, relabel
 
 DIAMOND_TOP = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
@@ -226,6 +227,41 @@ class TestDetection:
                         assert is_isolated_suborder(p, m1 | m2)
                         assert p.leq(a1, a2) or p.leq(a2, a1)
                         assert p.leq(b1, b2) or p.leq(b2, b1)
+
+
+class TestNestedSummits:
+    def test_tower_chain_alternates_bottoms_and_tops(self):
+        p = family("stacked:4")  # level j: bottom 4j, belt 4j+1 and 4j+2, top 4j+3
+        (iso,) = find_max_summit_isos(p)
+        assert (iso.bottom, iso.top) == (3, 15)
+        assert nested_summit_bottoms(p, iso) == [4, 7, 8, 11, 12]
+
+    def test_equals_detection_repeated_on_each_inside(self):
+        # the chain is what find_max_summit_isos finds on P|S, then on the
+        # inside of that, and so on, read off the dominator tree of S instead
+        rng = random.Random(5150)
+        cases = [p for _, p in random_posets(77, 150, 12)]
+        cases += [relabel(family(f"stacked:{k}:random:{m}:{k}"), rng)
+                  for k in range(2, 6) for m in range(2, 5)]
+        checked = 0
+        for p in cases:
+            for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
+                want = []
+                sub, idmap = p.restrict(iso.members)
+                while True:
+                    inner = find_max_summit_isos(sub)
+                    if not inner:
+                        break
+                    (nxt,) = inner
+                    assert idmap[nxt.top] == iso.top
+                    want.append(idmap[nxt.bottom])
+                    sub, ids = sub.restrict(nxt.members)
+                    idmap = tuple(idmap[i] for i in ids)
+                got = nested_summit_bottoms(p, iso)
+                assert got == want
+                assert all(is_isolated_suborder(p, p.interval(w, iso.top)) for w in got)
+                checked += len(got)
+        assert checked > 100
 
 
 class TestQuotient:
