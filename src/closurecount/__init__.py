@@ -24,7 +24,7 @@ from .errors import (ClosureCountError, CycleError, EmptyPosetError,
 from .fileio import (PosetFileData, build_poset, load_poset, parse_poset_text,
                      read_poset_file, to_edge_text, to_structured)
 from .formulas import (ConstrainedCount, count_bottomless_diamond, count_chain,
-                       count_diamond, count_disconnected, count_special)
+                       count_diamond, count_special)
 from .generators import (antichain, bottomless_diamond, chain, diamond, family,
                          powerset_lattice, random_connected_poset,
                          random_submask, stacked)
@@ -48,7 +48,7 @@ __all__ = [
     "bottomless_diamond", "bruteforce_candidates", "bruteforce_search_space",
     "build_poset", "chain", "count_bottomless_diamond", "count_chain",
     "count_closure_systems_bruteforce", "count_closures", "count_diamond",
-    "count_disconnected", "count_preclosure_systems", "count_special",
+    "count_preclosure_systems", "count_special",
     "diamond", "enumerate_closure_systems", "explain", "family",
     "find_max_bottleneck_isos", "find_max_summit_isos", "is_closure_system",
     "is_isolated_suborder", "is_preclosure_system", "is_separator",

@@ -7,10 +7,10 @@ preferring structure over enumeration, in this order:
   2. recognized shapes (chain, diamond, bottomless diamond): closed formula;
   3. a useful summit suborder S' disjoint from t: the systems factor as
      (systems of the quotient) x (systems of S'), since C must meet S';
-     the inside S' (here and in step 4) is counted along its chain of
-     nested summit suborders, read off the dominator tree of S' built
-     within p, one small ring poset per level, instead of being rebuilt
-     and searched again at every level;
+     the inside S' (here and in step 4) is a product over the intervals
+     between consecutive cut points of S' (members comparable to every
+     member), which is the summit formula applied down the chain of
+     summit suborders nested in S', each interval built once;
   4. a useful bottleneck suborder S' disjoint from t: systems that meet S'
      contribute (quotient systems containing the collapsed class) x
      (2 |C(S')| - 1), where the factor counts the nonempty preclosure
@@ -28,25 +28,27 @@ own.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import reduce
+from math import prod
+from operator import or_
 from typing import Iterator, NamedTuple, Optional
 
-from .bitset import ElementSet, bits, size
+from .bitset import ElementSet, bits, mask_of, size
 from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
 from .errors import EmptyPosetError
-from .formulas import count_chain, count_disconnected, count_special
-from .isolated import (IsolatedSuborder, IsoKind, find_max_bottleneck_isos,
+from .formulas import count_special
+from .isolated import (IsolatedSuborder, find_max_bottleneck_isos,
                        find_max_summit_isos, nested_summit_bottoms,
                        project_set, quotient_by)
-from .poset import Poset, Shape, ShapeKind
+from .poset import Poset, Shape
 
 
 class DecompositionTrace(NamedTuple):
     """One node of the decomposition tree.
 
-    kind is one of "special", "components", "summit", "bottleneck", "brute".
+    kind is one of "special", "components", "cuts" (the product over the
+    parts between a suborder's cut points), "summit", "bottleneck", "brute".
     iso_original and t_original are masks in the ids of the original poset
     the count was asked about, so disjointness is auditable after nested
     quotients renumber everything; search_space is 2^(free elements) of a
@@ -93,22 +95,12 @@ def _originals(origin: tuple, mask: ElementSet) -> ElementSet:
 
 def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> DecompositionTrace:
     t &= ~p.maximal_mask  # every system contains every maximal element
-    t_orig = _originals(origin, t)
 
     comps = p.connected_components()
     if len(comps) > 1:
-        sub_origins = deque(tuple(origin[x] for x in bits(comp)) for comp in comps)
-        children = []
+        return _product("components", p, comps, t, origin, cap)
 
-        def counter(sub: Poset, sub_t: ElementSet) -> int:
-            node = _count(sub, sub_t, sub_origins.popleft(), cap)
-            children.append(node)
-            return node.value
-
-        value = count_disconnected(p, t, counter)
-        return DecompositionTrace("components", value, p.n,
-                                  children=tuple(children), t_original=t_orig)
-
+    t_orig = _originals(origin, t)
     special = count_special(p, t)
     if special is not None:
         return DecompositionTrace("special", special.value, p.n,
@@ -126,7 +118,7 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
         q_origin = tuple(_originals(origin, m) for m in qr.members)
         qt = project_set(qr, t)
         assert not (qt >> qr.collapsed) & 1
-        inside, iso_orig = _count_inside(p, iso, origin, cap)
+        inside = _count_inside(p, iso, origin, cap)
         if kind == "summit":
             quot = _count(qr.quotient, qt, q_origin, cap)
             value = quot.value * inside.value
@@ -137,7 +129,8 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
             value = meeting.value * 2 * (inside.value - 1) + avoiding.value
             children = (meeting, inside, avoiding)
         return DecompositionTrace(kind, value, p.n, children=children, iso=iso,
-                                  iso_original=iso_orig, t_original=t_orig)
+                                  iso_original=_originals(origin, iso.members),
+                                  t_original=t_orig)
 
     space = bruteforce_search_space(p, t)
     value = count_closure_systems_bruteforce(p, t, cap=cap)
@@ -145,55 +138,36 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
                               t_original=t_orig, search_space=space)
 
 
+def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
+             cap: Optional[int]) -> DecompositionTrace:
+    """Product of the counts of p restricted to each part, t restricted
+    with it. The parts are the components of p, whose systems combine
+    independently, or the intervals between cut points (_count_inside)."""
+    children = []
+    for part in parts:
+        sub, idmap = p.restrict(part)
+        sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
+        children.append(_count(sub, sub_t, tuple(origin[x] for x in idmap), cap))
+    return DecompositionTrace(kind, prod(c.value for c in children),
+                              size(reduce(or_, parts)), children=tuple(children),
+                              t_original=_originals(origin, t))
+
+
 def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
-                  cap: Optional[int]) -> tuple:
-    """(_count(P|S, 0) for S = iso.members, the originals of S), without
-    building P|S.
+                  cap: Optional[int]) -> DecompositionTrace:
+    """_count(P|S, 0) for S = iso.members: the product over the intervals
+    between consecutive cut points b = c_0 < ... < c_r < top of S.
 
-    Counting P|S_i collapses S_{i+1}, the next suborder of the chain
-    S = S_0 > S_1 > ... > S_r from nested_summit_bottoms, so the walk goes
-    up that chain from the innermost S_r, which alone is built and counted
-    as it is. The quotient P|S_i / S_{i+1} is the ring [w_i, w_{i+1}] of p
-    with w_{i+1} standing for the class: a convex set, numbered as
-    quotient_by numbers it. Level i is a summit node over (ring, S_{i+1}),
-    or the chain P|S_i is when the ring and S_{i+1} both are. Each level
-    reads only its ring, plus O(n/64) big-int work per ring member.
+    This is the summit formula C(P|S_i) = C(P|S_i / S_{i+1}) * C(S_{i+1})
+    unrolled down the nested summit suborders S_i = [c_i, top]: the
+    quotient is the part [c_i, c_{i+1}], whose greatest element c_{i+1}
+    stands for the class. It keeps its own original id, since no split
+    suborder in the part holds it and nothing there is constrained.
     """
-    top = iso.top
-    bottoms = [iso.bottom] + nested_summit_bottoms(p, iso)
-    inner = p.interval(bottoms[-1], top)
-    sub, idmap = p.restrict(inner)
-    node = _count(sub, 0, tuple(origin[x] for x in idmap), cap)
-    inner_orig = _originals(origin, inner)
-    for i in range(len(bottoms) - 2, -1, -1):
-        v, w = bottoms[i], bottoms[i + 1]
-        outer = p.interval(v, top)
-        ring, ring_ids = p.restrict(p.interval(v, w))
-        ring_node = _count(ring, 0, tuple(inner_orig if x == w else origin[x]
-                                          for x in ring_ids), cap)
-        n = node.n + ring.n - 1
-        outer_orig = inner_orig
-        ring_local = 0  # local ids in P|S_i of the ring minus w
-        for x in ring_ids:
-            if x != w:
-                outer_orig |= origin[x]
-                ring_local |= 1 << (outer & ((1 << x) - 1)).bit_count()
-        if _is_chain(ring_node) and _is_chain(node):
-            node = DecompositionTrace("special", count_chain(n), n,
-                                      shape=Shape(ShapeKind.CHAIN, n))
-        else:
-            local_iso = IsolatedSuborder((outer & ((1 << w) - 1)).bit_count(),
-                                         (outer & ((1 << top) - 1)).bit_count(),
-                                         ((1 << n) - 1) & ~ring_local, IsoKind.SUMMIT)
-            node = DecompositionTrace("summit", ring_node.value * node.value, n,
-                                      children=(ring_node, node), iso=local_iso,
-                                      iso_original=inner_orig)
-        inner_orig = outer_orig
-    return node, inner_orig
-
-
-def _is_chain(node: DecompositionTrace) -> bool:
-    return node.kind == "special" and node.shape.kind is ShapeKind.CHAIN
+    cuts = [iso.bottom] + nested_summit_bottoms(p, iso)
+    parts = [p.interval(v, w) for v, w in zip(cuts, cuts[1:] + [iso.top])]
+    node = _product("cuts", p, parts, 0, origin, cap)
+    return node.children[0] if len(parts) == 1 else node
 
 
 def trace_nodes(trace: DecompositionTrace) -> Iterator[DecompositionTrace]:
@@ -225,6 +199,9 @@ def explain(trace: DecompositionTrace) -> str:
         elif node.kind == "components":
             out.append(f"{pad}product over {len(node.children)} components"
                        f" -> {node.value}{t_note}")
+        elif node.kind == "cuts":
+            out.append(f"{pad}product over {len(node.children)} parts between"
+                       f" cut points -> {node.value}{t_note}")
         elif node.kind == "summit":
             q, s = node.children
             out.append(f"{pad}summit suborder [{node.iso.bottom},{node.iso.top}]"

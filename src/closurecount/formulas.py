@@ -12,9 +12,9 @@ write-ups disagree with enumeration, and enumeration wins.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
-from .bitset import ElementSet, bits, mask_of, size
+from .bitset import ElementSet, mask_of, size
 from .poset import Poset, Shape, ShapeKind
 
 
@@ -70,39 +70,17 @@ class ConstrainedCount(NamedTuple):
 
 
 def count_special(p: Poset, t: ElementSet = 0) -> Optional[ConstrainedCount]:
-    """Dispatch to a shape formula, translating t into the shape's canonical
-    coordinates. None when the poset has no recognized shape."""
+    """Dispatch to a shape formula. The formulas read only counts of
+    constrained elements, so t becomes a canonical mask with the same
+    counts. None when the poset has no recognized shape."""
     shape = p.detect_shape()
-    if shape.kind is ShapeKind.OTHER:
+    formula = {ShapeKind.CHAIN: count_chain, ShapeKind.DIAMOND: count_diamond,
+               ShapeKind.BOTTOMLESS_DIAMOND: count_bottomless_diamond}.get(shape.kind)
+    if formula is None:
         return None
-    if shape.kind is ShapeKind.CHAIN:
-        canonical = mask_of(size(p.down[x]) for x in bits(t))
-        return ConstrainedCount(count_chain(shape.size, canonical), shape)
-    top = p.greatest_element()
-    if shape.kind is ShapeKind.DIAMOND:
-        bot = p.least_element()
-        belt = sorted(bits(p.full_mask & ~(1 << bot) & ~(1 << top)))
-        to_canonical = {bot: 0, top: shape.size + 1}
-        to_canonical.update((x, i + 1) for i, x in enumerate(belt))
-        canonical = mask_of(to_canonical[x] for x in bits(t))
-        return ConstrainedCount(count_diamond(shape.size, canonical), shape)
-    belt = sorted(bits(p.full_mask & ~(1 << top)))
-    to_canonical = {top: shape.size}
-    to_canonical.update((x, i) for i, x in enumerate(belt))
-    canonical = mask_of(to_canonical[x] for x in bits(t))
-    return ConstrainedCount(count_bottomless_diamond(shape.size, canonical), shape)
-
-
-def count_disconnected(p: Poset, t: ElementSet,
-                       component_counter: Callable[[Poset, ElementSet], int]) -> int:
-    """Product of per-component counts: a closure system meets each
-    component in a closure system of that component, independently.
-    Components are passed to the callback in connected_components() order."""
-    comps = p.connected_components()
-    assert len(comps) >= 2, "poset is connected"
-    total = 1
-    for comp in comps:
-        sub, idmap = p.restrict(comp)
-        sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
-        total *= component_counter(sub, sub_t)
-    return total
+    below = size(t & ~(1 << p.greatest_element()))
+    canonical = (1 << below) - 1  # chain 0..n-2, bottomless belt 0..width-1
+    if shape.kind is ShapeKind.DIAMOND:  # bottom 0, belt 1..width
+        bottom = (t >> p.least_element()) & 1
+        canonical = bottom | ((1 << (below - bottom)) - 1) << 1
+    return ConstrainedCount(formula(shape.size, canonical), shape)

@@ -15,10 +15,10 @@ from the artificial top: s1 dominates s2 and s2 post-dominates s1, a
 single-entry single-exit region (Johnson, Pearson and Pingali, PLDI 1994).
 Detection therefore builds the dominator and post-dominator trees once each
 (Cooper, Harvey and Kennedy 2001) and walks them; is_separator and
-is_isolated_suborder remain the definitional checks. The dominator tree,
-built over the members of one isolated suborder, gives the chain of
-isolated suborders nested inside it under its top (nested_summit_bottoms),
-which counting walks instead of detecting again inside each.
+is_isolated_suborder remain the definitional checks. The isolated
+suborders nested in one under its top start at its cut points, the
+members comparable to every member (nested_summit_bottoms), so counting
+reads them off masks instead of detecting again inside each.
 """
 
 from __future__ import annotations
@@ -196,30 +196,19 @@ def nested_summit_bottoms(p: Poset, iso: IsolatedSuborder) -> list:
     """Bottoms w_1, ..., w_r, outermost first, of the isolated suborders
     [w_i, top] strictly inside iso that share its top.
 
-    In P|S (S = iso.members) top is the greatest element, so it
-    post-dominates every member, and [w, top] is isolated in P|S iff w
-    dominates top: the summit suborders of P|S with two or more members
-    are the [w, top] with w strictly between iso.bottom and top on top's
-    dominator chain. They nest, S = S_0 > S_1 > ... > S_r, and since
-    isolation carries over to sub-intervals (inside an isolated S_i,
-    isolated in P|S_i and in P|S mean the same thing), S_{i+1} is the
-    largest summit suborder of P|S_i, the one that counting P|S_i
-    collapses. The dominator tree of P|S is built over S's members within
-    p: S is convex, and only its bottom has lower covers outside it.
+    In P|S (S = iso.members) top is the greatest element, so [w, top] is
+    isolated in P|S iff every member of S is either >= w or < w: the
+    summit suborders of P|S with two or more members are the [w, top]
+    with w a cut point of S strictly between iso.bottom and top. Cut
+    points are pairwise comparable, so the suborders nest,
+    S = S_0 > S_1 > ... > S_r, and since isolation carries over to
+    sub-intervals (inside an isolated S_i, isolated in P|S_i and in P|S
+    mean the same thing), S_{i+1} is the largest summit suborder of P|S_i,
+    the one that counting P|S_i collapses.
     """
     s = iso.members
-    order = [x for x in p.topo if (s >> x) & 1]
-    preds = {x: p.cover_pred[x] for x in order}
-    preds[iso.bottom] = ()
-    idom = _idoms(order, preds, p.n)
-    found = []
-    w = idom[iso.top]
-    while w != iso.bottom:
-        assert w != p.n, "the bottom of an isolated suborder dominates its top"
-        found.append(w)
-        w = idom[w]
-    found.reverse()
-    return found
+    cuts = [w for w in bits(s) if not s & ~(p.up_incl[w] | p.down_incl[w])]
+    return sorted(cuts, key=lambda w: size(p.down[w]))[1:-1]  # drop bottom, top
 
 
 class QuotientResult(NamedTuple):

@@ -55,8 +55,12 @@ def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
     instances; `cap` is count_closures' leaf state budget.
 
     The RNG is fully determined by `seed`, so a failing instance can be
-    regenerated from its report.
+    regenerated from its report. Raises ValueError unless instances and
+    max_size are both at least 1, so a check of nothing never reports OK.
     """
+    if instances < 1 or max_size < 1:
+        raise ValueError(f"selfcheck needs instances and max size of at least 1, "
+                         f"got {instances} and {max_size}")
     rng = random.Random(seed)
     failures = []
     violations = 0

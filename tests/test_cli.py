@@ -194,6 +194,14 @@ class TestSelfcheck:
         assert out.startswith("25/25 OK in ")
         assert "(seed 5, sizes up to 7)" in out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--instances", "-3"), ("--instances", "0"), ("--max-size", "0"),
+    ])
+    def test_checking_nothing_is_an_input_error(self, capsys, flag, value):
+        rc, out, err = run(capsys, "selfcheck", flag, value)
+        assert rc == 2 and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: selfcheck needs")
+
 
 class TestBench:
     def test_stdout_csv(self, capsys):

@@ -161,7 +161,7 @@ class TestAgainstOracle:
         for _, p in random_posets(seed=103, count=40, max_n=9):
             trace = count_closures(p).trace
             for node in trace_nodes(trace):
-                if node.kind == "components":
+                if node.kind in ("components", "cuts"):
                     prod = 1
                     for c in node.children:
                         prod *= c.value
@@ -273,8 +273,8 @@ class TestQuadraticPathsStayOff:
 
 
 class TestNestedSuborders:
-    """The inside of a suborder is counted along its chain of nested summit
-    suborders, one ring per level, without rebuilding each level."""
+    """The inside of a suborder is counted as one product over the intervals
+    between its cut points, each built once."""
 
     def test_deep_tower_under_the_default_recursion_limit(self):
         limit = sys.getrecursionlimit()
@@ -298,25 +298,44 @@ class TestNestedSuborders:
         assert sum(built) <= 2 * p.n
 
     def test_levels_carry_the_original_ids_of_their_suborders(self):
+        # the inside of the split is one product over the intervals between
+        # consecutive cut points of S (the members comparable to all of S);
+        # each part keeps its lower end, the last also the top, and those
+        # originals partition S
         p = relabel(stacked(diamond(2), 6), random.Random(6))
-        node = count_closures(p).trace
-        levels = 0
-        while node.kind == "summit":
-            assert is_isolated_suborder(p, node.iso_original)
-            assert size(node.iso_original) == node.iso.n
-            node = node.children[1]
-            levels += 1
-        assert levels > 5
+        root = count_closures(p).trace
+        assert root.kind == "summit"
+        s = root.iso_original
+        assert is_isolated_suborder(p, s) and size(s) == root.iso.n
+        cuts = sorted((w for w in bits(s)
+                       if all(p.leq(w, x) or p.leq(x, w) for x in bits(s))),
+                      key=lambda w: size(p.down[w]))
+        assert len(cuts) > 5
+        parts = [p.interval(v, w) for v, w in zip(cuts, cuts[1:])]
+        inside = root.children[1]
+        assert inside.kind == "cuts" and inside.n == size(s)
+        assert [c.n for c in inside.children] == [size(m) for m in parts]
+        assert [c.value for c in inside.children] == [
+            count_closures(p.restrict(m)[0]).value for m in parts]
+        covered = 1 << cuts[-1]
+        for m, w in zip(parts, cuts[1:]):
+            kept = m & ~(1 << w)
+            assert not covered & kept
+            covered |= kept
+        assert covered == s
 
     def test_chain_levels_merge_into_one_chain(self):
+        # cut points 1, 4, 5, 6, 7: the diamond [1, 4], then three 2-chains
         result = count_closures(CHAIN_ABOVE_DIAMOND)
         assert result.value == oracle_count(CHAIN_ABOVE_DIAMOND) == 112
         assert explain(result.trace).splitlines() == [
             "summit suborder [1,7] of 7 elements: 112 = 2 * 56",
             "  chain n=2 -> 2",
-            "  summit suborder [3,6] of 4 elements: 56 = 7 * 8",
+            "  product over 4 parts between cut points -> 56",
             "    diamond width 2 -> 7",
-            "    chain n=4 -> 8",
+            "    chain n=2 -> 2",
+            "    chain n=2 -> 2",
+            "    chain n=2 -> 2",
         ]
 
     @seed(4417)
@@ -358,6 +377,8 @@ class TestExplain:
         text = explain(count_closures(CHAIN_TWO_TOPS).trace)
         assert "bottleneck suborder [0,1]" in text
         assert "* 2*(" in text and "-1) +" in text
+        # an inside without cut points strictly inside is no product node
+        assert text.splitlines()[2] == "  chain n=2 -> 2"
 
     def test_brute_line(self):
         text = explain(count_closures(powerset_lattice(3)).trace)

@@ -12,8 +12,9 @@ import pytest
 
 from closurecount import (Poset, Shape, ShapeKind, bottomless_diamond, chain,
                           count_bottomless_diamond, count_chain, count_closures,
-                          count_diamond, count_disconnected, count_special,
-                          diamond, enumerate_closure_systems, mask_of)
+                          count_diamond, count_special, diamond,
+                          enumerate_closure_systems, mask_of)
+from conftest import oracle_count
 
 
 def _counts_by_superset(p):
@@ -120,34 +121,34 @@ class TestCountSpecial:
 
 
 class TestDisconnected:
+    """A disconnected poset counts as the product over its components."""
+
     def test_product(self):
         # 2-chain next to a diamond: 2 * 7
         p = Poset(6, [(0, 1), (2, 3), (2, 4), (3, 5), (4, 5)])
-        calls = []
-
-        def counter(sub, sub_t):
-            calls.append((sub.n, sub_t))
-            return {2: 2, 4: 7}[sub.n]
-
-        assert count_disconnected(p, 0, counter) == 14
-        assert calls == [(2, 0), (4, 0)]
+        trace = count_closures(p).trace
+        assert trace.kind == "components"
+        assert [(c.n, c.value) for c in trace.children] == [(2, 2), (4, 7)]
+        assert trace.value == 14 == oracle_count(p)
 
     def test_constraints_land_in_the_right_component(self):
-        # components {0, 2} and {1, 3}; constraining 0 and 3 must reach the
-        # callbacks as local id 0 (first component) and local id 1 (second)
-        p = Poset(4, [(0, 2), (1, 3)])
-        seen = []
-
-        def counter(sub, sub_t):
-            seen.append(sub_t)
-            return 1
-
-        count_disconnected(p, mask_of([0, 3]), counter)
-        assert seen == [mask_of([0]), mask_of([1])]
+        # components: the chain 0 < 2 < 4 and the diamond 1 < {3, 5} < 6;
+        # each constraint set must reach its own component, in original ids
+        p = Poset(7, [(0, 2), (2, 4), (1, 3), (1, 5), (3, 6), (5, 6)])
+        for required in ([0], [3], [0, 3], [2, 1], [0, 2, 3, 5]):
+            t = mask_of(required)
+            trace = count_closures(p, t).trace
+            assert trace.value == oracle_count(p, t)
+            chain_part, diamond_part = trace.children
+            assert chain_part.t_original == t & mask_of([0, 2, 4])
+            assert diamond_part.t_original == t & mask_of([1, 3, 5, 6])
 
     def test_connected_is_refused(self):
-        with pytest.raises(AssertionError):
-            count_disconnected(chain(2), 0, lambda s, t: 1)
+        # a connected poset is never split as a product over components
+        for p in (chain(2), diamond(2), Poset(4, [(0, 1), (0, 2), (1, 3)])):
+            trace = count_closures(p, mask_of([0])).trace
+            assert trace.kind != "components"
+            assert trace.value == oracle_count(p, mask_of([0]))
 
     def test_antichain_counts_one(self):
         assert count_closures(Poset(3, [])).value == 1

@@ -237,8 +237,8 @@ class TestNestedSummits:
         assert nested_summit_bottoms(p, iso) == [4, 7, 8, 11, 12]
 
     def test_equals_detection_repeated_on_each_inside(self):
-        # the chain is what find_max_summit_isos finds on P|S, then on the
-        # inside of that, and so on, read off the dominator tree of S instead
+        # the cut points of S strictly inside it are what find_max_summit_isos
+        # finds on P|S, then on the inside of that, and so on
         rng = random.Random(5150)
         cases = [p for _, p in random_posets(77, 150, 12)]
         cases += [relabel(family(f"stacked:{k}:random:{m}:{k}"), rng)
@@ -259,6 +259,8 @@ class TestNestedSummits:
                     idmap = tuple(idmap[i] for i in ids)
                 got = nested_summit_bottoms(p, iso)
                 assert got == want
+                assert all(p.leq(w, x) or p.leq(x, w)
+                           for w in got for x in bits(iso.members))
                 assert all(is_isolated_suborder(p, p.interval(w, iso.top)) for w in got)
                 checked += len(got)
         assert checked > 100
