@@ -2,10 +2,10 @@
 """Isolated suborders: where a poset can be cut for divide and conquer.
 
 An isolated suborder is an interval [a, b] that the rest of the poset can
-only enter at a and leave at b. Collapsing one to a single point gives a
-quotient poset; counting problems factor across the cut. Two kinds are
-detected: bottleneck (b has exactly one upper cover) and summit (b is a
-maximal element).
+only enter at a and leave at b. Collapsing it onto a gives a quotient
+poset, the suborder on the rest plus a; counting problems factor across
+the cut. Two kinds are detected: bottleneck (b has exactly one upper
+cover) and summit (b is a maximal element).
 
 Run: python demos/03_isolated_suborders.py
 """
@@ -41,10 +41,12 @@ def main() -> None:
     print()
     print("collapsing the summit suborder of the shared-diamond poset:")
     iso = find_max_summit_isos(shared)[0]
-    qr = quotient_by(shared, iso)
-    print(f"  collapsed [{iso.bottom},{iso.top}] into class {qr.collapsed}")
-    print(f"  quotient covers: {sorted(qr.quotient.covers)}")
-    print(f"  quotient shape: {qr.quotient.detect_shape().label}")
+    q, idmap = quotient_by(shared, iso)
+    print(f"  collapsed [{iso.bottom},{iso.top}] onto its bottom, "
+          f"quotient element {idmap.index(iso.bottom)}")
+    print(f"  quotient covers: {sorted(q.covers)}")
+    print(f"  quotient elements are the original ids {list(idmap)}")
+    print(f"  quotient shape: {q.detect_shape().label}")
     print("  counting now factors: (systems of the quotient) x (systems")
     print("  of the collapsed interval)")
 

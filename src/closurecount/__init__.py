@@ -28,10 +28,9 @@ from .formulas import (ConstrainedCount, count_bottomless_diamond, count_chain,
 from .generators import (antichain, bottomless_diamond, chain, diamond, family,
                          powerset_lattice, random_connected_poset,
                          random_submask, stacked)
-from .isolated import (IsoKind, IsolatedSuborder, QuotientResult,
-                       find_max_bottleneck_isos, find_max_summit_isos,
-                       is_isolated_suborder, is_separator, least_bottleneck,
-                       project_set, quotient_by)
+from .isolated import (IsoKind, IsolatedSuborder, find_max_bottleneck_isos,
+                       find_max_summit_isos, is_isolated_suborder, is_separator,
+                       least_bottleneck, quotient_by)
 from .poset import AugmentedPoset, Poset, Shape, ShapeKind
 from .selfcheck import SelfCheckReport, run_selfcheck
 
@@ -43,7 +42,7 @@ __all__ = [
     "DecompositionTrace", "ElementSet", "EmptyPosetError", "EmptySetError",
     "InvalidOperatorError", "IsoKind", "IsolatedSuborder",
     "NoGreatestElementError", "NotIsolatedError", "ParseError", "Poset",
-    "PosetFileData", "QuotientResult", "SameNodeError", "SelfCheckReport",
+    "PosetFileData", "SameNodeError", "SelfCheckReport",
     "Shape", "ShapeKind", "TooLargeError", "antichain", "bits",
     "bottomless_diamond", "bruteforce_candidates", "bruteforce_search_space",
     "build_poset", "chain", "count_bottomless_diamond", "count_chain",
@@ -54,7 +53,7 @@ __all__ = [
     "is_isolated_suborder", "is_preclosure_system", "is_separator",
     "least_bottleneck", "least_majorizer", "load_poset", "mask_of",
     "operator_from_system", "parse_poset_text", "powerset_lattice",
-    "project_set", "quotient_by", "random_connected_poset", "random_submask",
+    "quotient_by", "random_connected_poset", "random_submask",
     "read_poset_file", "run_selfcheck", "size", "stacked",
     "system_from_operator", "to_edge_text", "to_structured", "trace_nodes",
     "validate_operator",

@@ -148,8 +148,11 @@ def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
     an undecided lower cover, so a state is the tuple of frontier cl values
     and equal states merge. Raises TooLargeError as soon as more than `cap`
     states have been visited in total, checked after every state expanded,
-    so no step grows past the budget (pass cap=None to lift it).
+    so no step grows past the budget (pass cap=None to lift it), and
+    ValueError for a negative cap.
     """
+    if cap is not None and cap < 0:
+        raise ValueError(f"state budget must be nonnegative, got {cap}")
     forced, _ = _free_elements(p, required)
     undecided_below = [len(p.cover_pred[x]) for x in range(p.n)]
     frontier = ()  # element at each position of a state tuple

@@ -3,14 +3,16 @@
 count_closures(p, t) returns |{closure systems C of p with t inside C}| by
 preferring structure over enumeration, in this order:
 
-  1. disconnected posets: product over components;
+  1. disconnected posets: product over components, only ever at the root,
+     since every sub-problem of a connected poset is connected;
   2. recognized shapes (chain, diamond, bottomless diamond): closed formula;
   3. a useful summit suborder S' disjoint from t: the systems factor as
-     (systems of the quotient) x (systems of S'), since C must meet S';
-     the inside S' (here and in step 4) is a product over the intervals
-     between consecutive cut points of S' (members comparable to every
-     member), which is the summit formula applied down the chain of
-     summit suborders nested in S', each interval built once;
+     (systems of the quotient P/S') x (systems of S'), since C must meet
+     S'; P/S' is the suborder on the rest of P plus the bottom of S',
+     which stands for the collapsed class (quotient_by); the inside S'
+     (here and in step 4) is a product over the intervals between
+     consecutive cut points of S' (members comparable to every member),
+     the summit formula applied down the summit suborders nested in S';
   4. a useful bottleneck suborder S' disjoint from t: systems that meet S'
      contribute (quotient systems containing the collapsed class) x
      (2 |C(S')| - 1), where the factor counts the nonempty preclosure
@@ -38,9 +40,8 @@ from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
 from .errors import EmptyPosetError
 from .formulas import count_special
-from .isolated import (IsolatedSuborder, find_max_bottleneck_isos,
-                       find_max_summit_isos, nested_summit_bottoms,
-                       project_set, quotient_by)
+from .isolated import (IsoKind, IsolatedSuborder, find_max_bottleneck_isos,
+                       find_max_summit_isos, nested_summit_bottoms, quotient_by)
 from .poset import Poset, Shape
 
 
@@ -76,16 +77,23 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
                    force: bool = False) -> CountResult:
     """Count the closure systems of p containing t (an element mask).
 
-    Exact arbitrary-precision result. Raises EmptyPosetError for n = 0 and
-    TooLargeError when a leaf count would visit more than `cap` states and
-    `force` is not set.
+    Exact arbitrary-precision result. Raises EmptyPosetError for n = 0,
+    ValueError for a negative `cap` (None lifts it), and TooLargeError when
+    a leaf count would visit more than `cap` states and `force` is not set.
     """
     if p.n == 0:
         raise EmptyPosetError("closure systems live on a nonempty poset")
     if t & ~p.full_mask:
         raise ValueError(f"constraint mask {t:#x} has bits outside the poset")
+    if cap is not None and cap < 0:
+        raise ValueError(f"state budget must be nonnegative, got {cap}")
     origin = tuple(1 << x for x in range(p.n))
-    trace = _count(p, t, origin, None if force else cap)
+    cap = None if force else cap
+    comps = p.connected_components()
+    if len(comps) == 1:
+        trace = _count(p, t, origin, cap)
+    else:  # every system contains every maximal element
+        trace = _product("components", p, comps, t & ~p.maximal_mask, origin, cap)
     return CountResult(trace.value, trace)
 
 
@@ -94,43 +102,37 @@ def _originals(origin: tuple, mask: ElementSet) -> ElementSet:
 
 
 def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> DecompositionTrace:
+    """Count a connected p; every sub-problem below is connected too."""
     t &= ~p.maximal_mask  # every system contains every maximal element
-
-    comps = p.connected_components()
-    if len(comps) > 1:
-        return _product("components", p, comps, t, origin, cap)
-
     t_orig = _originals(origin, t)
     special = count_special(p, t)
     if special is not None:
         return DecompositionTrace("special", special.value, p.n,
                                   shape=special.shape, t_original=t_orig)
 
-    for finder, kind in ((find_max_summit_isos, "summit"),
-                         (find_max_bottleneck_isos, "bottleneck")):
+    for finder in (find_max_summit_isos, find_max_bottleneck_isos):
         usable = [iso for iso in finder(p) if not iso.members & t]
         if not usable:
             continue
         iso = max(usable, key=lambda c: (c.n, -c.bottom))
         assert not iso.members & t
-        qr = quotient_by(p, iso)
-        assert qr.quotient.n < p.n and iso.n < p.n
-        q_origin = tuple(_originals(origin, m) for m in qr.members)
-        qt = project_set(qr, t)
-        assert not (qt >> qr.collapsed) & 1
+        q, idmap = quotient_by(p, iso)
+        assert q.n < p.n and iso.n < p.n
+        iso_orig = _originals(origin, iso.members)
+        # the bottom stands for the class, so its origin is all of S'
+        q_origin = origin[:iso.bottom] + (iso_orig,) + origin[iso.bottom + 1:]
         inside = _count_inside(p, iso, origin, cap)
-        if kind == "summit":
-            quot = _count(qr.quotient, qt, q_origin, cap)
+        if iso.kind is IsoKind.SUMMIT:
+            quot = _count_restricted(q, idmap, t, q_origin, cap)
             value = quot.value * inside.value
             children = (quot, inside)
         else:
-            meeting = _count(qr.quotient, qt | (1 << qr.collapsed), q_origin, cap)
-            avoiding = _count(qr.quotient, qt, q_origin, cap)
+            meeting = _count_restricted(q, idmap, t | 1 << iso.bottom, q_origin, cap)
+            avoiding = _count_restricted(q, idmap, t, q_origin, cap)
             value = meeting.value * 2 * (inside.value - 1) + avoiding.value
             children = (meeting, inside, avoiding)
-        return DecompositionTrace(kind, value, p.n, children=children, iso=iso,
-                                  iso_original=_originals(origin, iso.members),
-                                  t_original=t_orig)
+        return DecompositionTrace(iso.kind.value, value, p.n, children=children,
+                                  iso=iso, iso_original=iso_orig, t_original=t_orig)
 
     space = bruteforce_search_space(p, t)
     value = count_closure_systems_bruteforce(p, t, cap=cap)
@@ -143,14 +145,18 @@ def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
     """Product of the counts of p restricted to each part, t restricted
     with it. The parts are the components of p, whose systems combine
     independently, or the intervals between cut points (_count_inside)."""
-    children = []
-    for part in parts:
-        sub, idmap = p.restrict(part)
-        sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
-        children.append(_count(sub, sub_t, tuple(origin[x] for x in idmap), cap))
+    children = [_count_restricted(*p.restrict(part), t, origin, cap) for part in parts]
     return DecompositionTrace(kind, prod(c.value for c in children),
                               size(reduce(or_, parts)), children=tuple(children),
                               t_original=_originals(origin, t))
+
+
+def _count_restricted(sub: Poset, idmap: tuple, t: ElementSet, origin: tuple,
+                      cap: Optional[int]) -> DecompositionTrace:
+    """_count on a restrict's or a quotient's (sub, idmap), t and origin
+    taken through idmap."""
+    sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
+    return _count(sub, sub_t, tuple(origin[x] for x in idmap), cap)
 
 
 def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,

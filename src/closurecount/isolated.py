@@ -18,7 +18,9 @@ Detection therefore builds the dominator and post-dominator trees once each
 is_isolated_suborder remain the definitional checks. The isolated
 suborders nested in one under its top start at its cut points, the
 members comparable to every member (nested_summit_bottoms), so counting
-reads them off masks instead of detecting again inside each.
+reads them off masks instead of detecting again inside each. Since S' is
+entered only at its bottom and left only at its top, the quotient P/S' is
+the suborder on the rest plus that bottom (quotient_by).
 """
 
 from __future__ import annotations
@@ -211,51 +213,11 @@ def nested_summit_bottoms(p: Poset, iso: IsolatedSuborder) -> list:
     return sorted(cuts, key=lambda w: size(p.down[w]))[1:-1]  # drop bottom, top
 
 
-class QuotientResult(NamedTuple):
-    """Quotient of a poset by one isolated suborder.
-
-    quotient   the collapsed poset
-    class_of   class_of[x]: quotient id of original element x
-    members    members[q]: original-id mask of quotient element q (flat
-               classes; the collapsed class is the suborder, all other
-               classes are singletons)
-    collapsed  quotient id of the collapsed class
-    """
-
-    quotient: Poset
-    class_of: tuple
-    members: tuple
-    collapsed: int
-
-
-def quotient_by(p: Poset, iso: IsolatedSuborder) -> QuotientResult:
-    """Collapse an isolated suborder to a single element.
-
-    Each class is represented by one original id (the suborder's bottom for
-    the collapsed class, the element itself otherwise) and quotient ids
-    follow the sorted representatives, so results are stable. The quotient
-    order is generated by the projected cover edges.
-    """
+def quotient_by(p: Poset, iso: IsolatedSuborder) -> tuple:
+    """P/S' for an isolated suborder S', as p.restrict's (poset, idmap) on
+    the rest plus the bottom, which stands for S' and keeps its own label:
+    an element outside S' is above (below) some member iff it is above
+    (below) the bottom."""
     if not is_isolated_suborder(p, iso.members):
         raise NotIsolatedError(f"mask {iso.members:#x} is not an isolated suborder")
-    rep = [x if not (iso.members >> x) & 1 else iso.bottom for x in range(p.n)]
-    reps = sorted(set(rep))
-    q_id = {r: i for i, r in enumerate(reps)}
-    class_of = tuple(q_id[rep[x]] for x in range(p.n))
-    edges = {(class_of[u], class_of[v]) for u, v in p.covers if class_of[u] != class_of[v]}
-    members = tuple(iso.members if r == iso.bottom else 1 << r for r in reps)
-    labels = None
-    if p.labels is not None:
-        labels = tuple("+".join(p.labels[x] for x in bits(members[i]))
-                       for i in range(len(reps)))
-    return QuotientResult(
-        quotient=Poset(len(reps), edges, labels),
-        class_of=class_of,
-        members=members,
-        collapsed=q_id[iso.bottom],
-    )
-
-
-def project_set(qr: QuotientResult, s: ElementSet) -> ElementSet:
-    """Image of an original-element mask in the quotient."""
-    return mask_of(qr.class_of[x] for x in bits(s))
+    return p.restrict(p.full_mask & ~iso.members | 1 << iso.bottom)

@@ -203,6 +203,18 @@ class TestSelfcheck:
         assert len(err.splitlines()) == 1 and err.startswith("error: selfcheck needs")
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--gen", "chain:3", "--cap", "-5"),
+    ("count", "--gen", "powerset:3", "--cap", "-5"),
+    ("count", "--gen", "powerset:3", "--cap", "-5", "--force"),
+    ("bench", "--family", "chain:3", "--cap", "-1"),
+])
+def test_negative_cap_is_an_input_error(capsys, argv):
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: state budget")
+
+
 class TestBench:
     def test_stdout_csv(self, capsys):
         rc, out, _ = run(capsys, "bench", "--family", "chain:6",

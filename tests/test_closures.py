@@ -103,6 +103,12 @@ class TestBruteForceCounts:
             count_closure_systems_bruteforce(chain(8), cap=7)
         assert count_closure_systems_bruteforce(chain(8), cap=None) == 128
 
+    def test_negative_cap_is_an_input_error(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            count_closure_systems_bruteforce(chain(3), cap=-1)
+        with pytest.raises(TooLargeError):  # 0 is a legal, empty budget
+            count_closure_systems_bruteforce(chain(3), cap=0)
+
     def test_refusal_comes_within_the_step(self):
         # every belt element of diamond(12) doubles the layer, and a budget
         # of 2^12 + 8 states runs out early in the last belt step; checked

@@ -22,8 +22,8 @@ from closurecount import (AugmentedPoset, EmptyPosetError, IsoKind, Poset,
                           diamond, enumerate_closure_systems, explain, family,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, mask_of, powerset_lattice,
-                          project_set, quotient_by, random_submask, size,
-                          stacked, trace_nodes)
+                          quotient_by, random_submask, size, stacked,
+                          trace_nodes)
 from closurecount.selfcheck import disjointness_violations
 from conftest import (oracle_count, posets, random_poset, random_posets,
                       relabel)
@@ -183,11 +183,12 @@ class TestAgainstOracle:
                 t = random_submask(rng, p.full_mask & ~iso.members, 2)
                 systems = [c.members for c in enumerate_closure_systems(p, required=t)]
                 meeting = sum(1 for c in systems if c & iso.members)
-                qr = quotient_by(p, iso)
-                qt = project_set(qr, t)
+                q, idmap = quotient_by(p, iso)
+                # the bottom's id stands for the class of all of iso.members
+                qt = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
                 qsystems = [c.members
-                            for c in enumerate_closure_systems(qr.quotient, required=qt)]
-                cls = 1 << qr.collapsed
+                            for c in enumerate_closure_systems(q, required=qt)]
+                cls = 1 << idmap.index(iso.bottom)
                 q_with = sum(1 for c in qsystems if c & cls)
                 sub, _ = p.restrict(iso.members)
                 inner = oracle_count(sub)
@@ -254,6 +255,40 @@ class TestLimitsAndErrors:
 
     def test_formula_paths_ignore_the_cap(self):
         assert count_closures(chain(30), cap=5).value == 2 ** 29
+
+    @pytest.mark.parametrize("force", [False, True])
+    def test_negative_cap_is_an_input_error(self, force):
+        for p in (chain(3), powerset_lattice(3)):
+            with pytest.raises(ValueError, match="nonnegative"):
+                count_closures(p, cap=-1, force=force)
+        assert count_closures(chain(3), cap=0).value == 4
+        assert count_closures(chain(3), cap=None).value == 4
+
+
+def three_towers():
+    """Disjoint union of three relabelled towers, relabelled as a whole."""
+    rng = random.Random(3)
+    edges, offset = [], 0
+    for k in (2, 3, 4):
+        tower = relabel(stacked(diamond(k), k), rng)
+        edges += [(u + offset, v + offset) for u, v in tower.covers]
+        offset += tower.n
+    return relabel(Poset(offset, edges), rng)
+
+
+class TestComponentsAtTheRoot:
+    # every sub-problem of a connected poset (an interval, a quotient, a
+    # part between cut points) is connected, so only the root is split
+    @pytest.mark.parametrize("name", ["stacked:12", "three towers"])
+    def test_components_found_once_per_count(self, monkeypatch, name):
+        p = three_towers() if name == "three towers" else family(name)
+        calls = []
+        found = Poset.connected_components
+        monkeypatch.setattr(Poset, "connected_components",
+                            lambda self: calls.append(self.n) or found(self))
+        trace = count_closures(p).trace
+        assert calls == [p.n]
+        assert trace.kind == ("components" if name == "three towers" else "summit")
 
 
 class TestQuadraticPathsStayOff:

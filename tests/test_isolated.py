@@ -15,8 +15,7 @@ from closurecount import (IsoKind, IsolatedSuborder, NotIsolatedError, Poset,
                           SameNodeError, bits, chain, diamond, family,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, is_separator, least_bottleneck,
-                          mask_of, powerset_lattice, project_set, quotient_by,
-                          size)
+                          mask_of, powerset_lattice, quotient_by)
 from closurecount.isolated import nested_summit_bottoms
 from conftest import random_poset, random_posets, relabel
 
@@ -266,14 +265,19 @@ class TestNestedSummits:
         assert checked > 100
 
 
+def classes(iso, idmap):
+    """Original members of each quotient element: the bottom stands for
+    the whole suborder, every other kept element for itself."""
+    return tuple(iso.members if x == iso.bottom else 1 << x for x in idmap)
+
+
 class TestQuotient:
     def test_collapse_diamond_under_top(self):
         iso = find_max_bottleneck_isos(DIAMOND_TOP)[0]
-        qr = quotient_by(DIAMOND_TOP, iso)
-        assert qr.quotient == Poset(2, [(0, 1)])
-        assert qr.class_of == (0, 0, 0, 0, 1)
-        assert qr.members == (mask_of([0, 1, 2, 3]), mask_of([4]))
-        assert qr.collapsed == 0
+        q, idmap = quotient_by(DIAMOND_TOP, iso)
+        assert q == Poset(2, [(0, 1)])
+        assert idmap == (0, 4)
+        assert classes(iso, idmap) == (mask_of([0, 1, 2, 3]), mask_of([4]))
 
     def test_not_isolated_raises(self):
         p = diamond(2)
@@ -281,41 +285,53 @@ class TestQuotient:
         with pytest.raises(NotIsolatedError):
             quotient_by(p, bogus)
 
-    def test_project_set(self):
-        iso = find_max_bottleneck_isos(DIAMOND_TOP)[0]
-        qr = quotient_by(DIAMOND_TOP, iso)
-        assert project_set(qr, mask_of([1, 2])) == mask_of([0])
-        assert project_set(qr, mask_of([4])) == mask_of([1])
+    def test_class_carries_its_bottoms_label(self):
+        # chain 2 < 1 < 0: the class of [2, 1] is labelled by its bottom 2,
+        # not by its smallest id, and no labels are joined
+        p = Poset(3, [(2, 1), (1, 0)], labels=["a", "b", "c"])
+        iso = find_max_bottleneck_isos(p)[0]
+        assert (iso.bottom, iso.top) == (2, 1)
+        q, idmap = quotient_by(p, iso)
+        assert idmap == (0, 2)
+        assert q.labels == ("a", "c")
 
-    def test_labels_joined(self):
-        p = Poset(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
-        iso = find_max_bottleneck_isos(p)[0]  # [0, 1]
-        qr = quotient_by(p, iso)
-        assert qr.quotient.labels == ("a+b", "c")
+    def test_equals_the_quotient_by_projected_covers(self):
+        # the suborder on the outside plus the bottom is the poset the
+        # projected cover edges generate, with the same linear extension
+        for _, p in random_posets(seed=61, count=60, max_n=9):
+            for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
+                q, idmap = quotient_by(p, iso)
+                new_id = {x: i for i, x in enumerate(idmap)}
+                rep = [iso.bottom if (iso.members >> x) & 1 else x for x in range(p.n)]
+                projected = Poset(q.n, {(new_id[rep[u]], new_id[rep[v]])
+                                        for u, v in p.covers if rep[u] != rep[v]})
+                assert q == projected
+                assert q.topo == projected.topo
 
     def test_quotient_order_matches_projected_order(self):
         # [x] <= [y] in the quotient iff some members x' <= y' in the original
         for _, p in random_posets(seed=67, count=40, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                qr = quotient_by(p, iso)
-                q = qr.quotient
+                q, idmap = quotient_by(p, iso)
+                members = classes(iso, idmap)
                 for qx in range(q.n):
                     for qy in range(q.n):
                         original = any(p.leq(x, y)
-                                       for x in bits(qr.members[qx])
-                                       for y in bits(qr.members[qy]))
+                                       for x in bits(members[qx])
+                                       for y in bits(members[qy]))
                         assert q.leq(qx, qy) == original
 
     def test_isos_found_in_the_quotient_lift(self):
         for _, p in random_posets(seed=71, count=40, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                qr = quotient_by(p, iso)
+                q, idmap = quotient_by(p, iso)
+                members = classes(iso, idmap)
                 for kind, finder in ((IsoKind.SUMMIT, find_max_summit_isos),
                                      (IsoKind.BOTTLENECK, find_max_bottleneck_isos)):
-                    for inner in finder(qr.quotient):
+                    for inner in finder(q):
                         flat = 0
                         for qx in bits(inner.members):
-                            flat |= qr.members[qx]
+                            flat |= members[qx]
                         assert is_isolated_suborder(p, flat)
                         top = p.greatest_element_of(flat)
                         if kind is IsoKind.SUMMIT:
@@ -326,6 +342,6 @@ class TestQuotient:
     def test_quotient_shrinks(self):
         for _, p in random_posets(seed=73, count=30, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                qr = quotient_by(p, iso)
-                assert qr.quotient.n == p.n - iso.n + 1
-                assert size(qr.members[qr.collapsed]) == iso.n
+                q, idmap = quotient_by(p, iso)
+                assert q.n == p.n - iso.n + 1
+                assert mask_of(idmap) & iso.members == 1 << iso.bottom
