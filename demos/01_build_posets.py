@@ -4,7 +4,8 @@
 Run: python demos/01_build_posets.py
 """
 
-from closurecount import Poset, bits, parse_poset_text, build_poset, family
+from closurecount import Poset, bits, family
+from closurecount.fileio import build_poset, parse_poset_text
 
 LINE = "-" * 60
 

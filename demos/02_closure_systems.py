@@ -10,8 +10,9 @@ example and confirms the correspondence.
 Run: python demos/02_closure_systems.py
 """
 
-from closurecount import (bits, diamond, enumerate_closure_systems,
-                          operator_from_system, system_from_operator)
+from closurecount import bits, enumerate_closure_systems
+from closurecount.closures import operator_from_system, system_from_operator
+from closurecount.generators import diamond
 
 
 def main() -> None:

@@ -11,8 +11,8 @@ Run: python demos/03_isolated_suborders.py
 """
 
 from closurecount import (Poset, bits, find_max_bottleneck_isos,
-                          find_max_summit_isos, powerset_lattice,
-                          quotient_by, stacked)
+                          find_max_summit_isos, quotient_by)
+from closurecount.generators import powerset_lattice, stacked
 
 
 def report(p: Poset, title: str) -> None:

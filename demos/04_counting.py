@@ -12,7 +12,8 @@ Run: python demos/04_counting.py
 """
 
 from closurecount import (Poset, count_closures, enumerate_closure_systems,
-                          explain, mask_of, powerset_lattice, stacked)
+                          explain, mask_of)
+from closurecount.generators import powerset_lattice, stacked
 
 
 def show(p: Poset, title: str, t: int = 0) -> None:

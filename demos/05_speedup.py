@@ -14,9 +14,10 @@ Run: python demos/05_speedup.py [--levels N]
 import argparse
 import time
 
-from closurecount import (bruteforce_candidates, bruteforce_search_space,
-                          count_closures, enumerate_closure_systems,
-                          powerset_lattice, stacked)
+from closurecount import (bruteforce_search_space, count_closures,
+                          enumerate_closure_systems)
+from closurecount.counting import bruteforce_candidates
+from closurecount.generators import powerset_lattice, stacked
 
 
 def main() -> None:

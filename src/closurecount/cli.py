@@ -23,8 +23,9 @@ import io
 import json
 import sys
 import time
+from typing import Optional
 
-from .bitset import bits
+from .bitset import bits, mask_of
 from .closures import (DEFAULT_BRUTE_CAP, DEFAULT_ENUM_CAP,
                        bruteforce_search_space, enumerate_closure_systems)
 from .counting import bruteforce_candidates, count_closures, explain
@@ -60,18 +61,21 @@ def _required_mask(text: str, p: Poset) -> int:
         ids = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
         raise ValueError(f"--required wants comma-separated ids, got {text!r}") from None
-    mask = 0
     for i in ids:
         if not 0 <= i < p.n:
             raise ValueError(f"required element {i} out of range for n={p.n}")
-        mask |= 1 << i
-    return mask
+    return mask_of(ids)
+
+
+def _cap(args: argparse.Namespace) -> Optional[int]:
+    """--cap, lifted by --force; a negative one is passed on to be refused."""
+    return None if args.force and args.cap >= 0 else args.cap
 
 
 def cmd_count(args: argparse.Namespace) -> int:
     p = _input_poset(args)
     t = _required_mask(args.required, p)
-    result = count_closures(p, t, cap=args.cap, force=args.force)
+    result = count_closures(p, t, cap=_cap(args))
     if args.trace:
         print(explain(result.trace), file=sys.stderr)
     print(f"{result.value:,}" if args.pretty else result.value)
@@ -148,7 +152,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             p, cap=None if args.force else DEFAULT_ENUM_CAP))
         enum_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = count_closures(p, cap=args.cap, force=args.force)
+        result = count_closures(p, cap=_cap(args))
         decomp_s = time.perf_counter() - t0
         agree = enumerated == result.value
         all_agree &= agree

@@ -75,11 +75,7 @@ def operator_from_system(p: Poset, c: ElementSet) -> ClosureOperator:
 def system_from_operator(op: ClosureOperator) -> ClosureSystem:
     """Fixpoint set of a closure operator; validates the operator laws."""
     validate_operator(op)
-    members = 0
-    for x, y in enumerate(op.image):
-        if x == y:
-            members |= 1 << x
-    return ClosureSystem(op.poset, members)
+    return ClosureSystem(op.poset, mask_of(x for x, y in enumerate(op.image) if x == y))
 
 
 def validate_operator(op: ClosureOperator) -> None:
@@ -107,7 +103,7 @@ def _free_elements(p: Poset, required: ElementSet) -> tuple:
     itself), so maximal elements join the required ones.
     """
     assert required & ~p.full_mask == 0, "required set outside the poset"
-    forced = required | p.maximal_elements()
+    forced = required | p.maximal_mask
     return forced, list(bits(p.full_mask & ~forced))
 
 

@@ -21,7 +21,7 @@ preferring structure over enumeration, in this order:
      entirely are in bijection with quotient systems avoiding the class;
   5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
      DP over a reverse linear extension), refused once it has visited more
-     than `cap` states unless forced.
+     than `cap` states (cap=None lifts the budget).
 
 Every path is validated against enumerate_closure_systems in the test
 suite; neither the decomposition nor the leaf counter is trusted on its
@@ -73,13 +73,12 @@ class CountResult(NamedTuple):
 
 
 def count_closures(p: Poset, t: ElementSet = 0, *,
-                   cap: Optional[int] = DEFAULT_BRUTE_CAP,
-                   force: bool = False) -> CountResult:
+                   cap: Optional[int] = DEFAULT_BRUTE_CAP) -> CountResult:
     """Count the closure systems of p containing t (an element mask).
 
     Exact arbitrary-precision result. Raises EmptyPosetError for n = 0,
-    ValueError for a negative `cap` (None lifts it), and TooLargeError when
-    a leaf count would visit more than `cap` states and `force` is not set.
+    ValueError for a negative `cap`, and TooLargeError when a leaf count
+    would visit more than `cap` states; cap=None lifts the budget.
     """
     if p.n == 0:
         raise EmptyPosetError("closure systems live on a nonempty poset")
@@ -88,7 +87,6 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
     if cap is not None and cap < 0:
         raise ValueError(f"state budget must be nonnegative, got {cap}")
     origin = tuple(1 << x for x in range(p.n))
-    cap = None if force else cap
     comps = p.connected_components()
     if len(comps) == 1:
         trace = _count(p, t, origin, cap)

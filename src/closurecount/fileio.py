@@ -4,8 +4,8 @@ Two formats are accepted and distinguished by sniffing the first
 non-whitespace character:
 
   edge text      first meaningful line is the element count n, every further
-                 line is "u v" for one relation u < v; blank lines and lines
-                 starting with '#' are ignored
+                 line is "u v" for one relation u < v; '#' starts a comment
+                 that runs to the end of the line, and blank lines are ignored
   structured     a JSON object {"n": int, "edges": [[u, v], ...]} with an
                  optional "labels" array of n strings
 
@@ -42,8 +42,8 @@ def _parse_edge_text(text: str) -> PosetFileData:
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        line = raw.partition("#")[0].strip()
+        if not line:
             continue
         fields = line.split()
         if n is None:
@@ -121,10 +121,6 @@ def read_poset_file(path: str) -> PosetFileData:
 
 def build_poset(data: PosetFileData) -> Poset:
     return Poset(data.n, data.edges, data.labels)
-
-
-def load_poset(path: str) -> Poset:
-    return build_poset(read_poset_file(path))
 
 
 def to_edge_text(p: Poset) -> str:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 
-from .bitset import bits
+from .bitset import bits, mask_of
 from .poset import MAX_EDGES, MAX_ELEMENTS, Poset, check_size
 
 
@@ -99,10 +99,7 @@ def random_submask(rng: random.Random, universe: int, max_size: int) -> int:
     """Random subset of `universe` with at most max_size members."""
     pool = list(bits(universe))
     k = rng.randint(0, min(max_size, len(pool)))
-    out = 0
-    for x in rng.sample(pool, k):
-        out |= 1 << x
-    return out
+    return mask_of(rng.sample(pool, k))
 
 
 def family(spec: str) -> Poset:

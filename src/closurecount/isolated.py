@@ -14,8 +14,9 @@ is nonempty, s1 separates the artificial bottom from s2, and s2 separates s1
 from the artificial top: s1 dominates s2 and s2 post-dominates s1, a
 single-entry single-exit region (Johnson, Pearson and Pingali, PLDI 1994).
 Detection therefore builds the dominator and post-dominator trees once each
-(Cooper, Harvey and Kennedy 2001) and walks them; is_separator and
-is_isolated_suborder remain the definitional checks. The isolated
+(Cooper, Harvey and Kennedy 2001) and walks them. Two definitional checks
+remain: is_isolated_suborder tests the definition itself, and is_separator
+tests the separator characterization by a path search. The isolated
 suborders nested in one under its top start at its cut points, the
 members comparable to every member (nested_summit_bottoms), so counting
 reads them off masks instead of detecting again inside each. Since S' is
@@ -26,7 +27,7 @@ the suborder on the rest plus that bottom (quotient_by).
 from __future__ import annotations
 
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .bitset import ElementSet, bits, mask_of, size
 from .errors import NotIsolatedError, SameNodeError
@@ -68,23 +69,6 @@ def is_isolated_suborder(p: Poset, s: ElementSet) -> bool:
     return True
 
 
-def least_bottleneck(p: Poset, x: int) -> Optional[int]:
-    """Least bottleneck of x, or None.
-
-    b is a bottleneck of x when b > x, [x, b] is a chain, and everything
-    above x is in [x, b] or above b. In a finite poset this forces b to be
-    the unique upper cover of x, and conversely the unique upper cover
-    satisfies all three clauses, so only the cover needs checking.
-    """
-    ups = p.cover_succ[x]
-    if len(ups) != 1:
-        return None
-    b = ups[0]
-    assert p.is_chain(p.interval(x, b))
-    assert not p.reach[x] & ~((1 << b) | p.reach[b]), "element escapes the unique cover"
-    return b
-
-
 def is_separator(aug: AugmentedPoset, u: int, s: int, t: int) -> bool:
     """True iff every directed path s -> t in the augmented Hasse graph
     passes through u (vacuously true when t is unreachable)."""
@@ -116,8 +100,11 @@ def _idoms(order, preds, root: int) -> list:
 
 def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
     """Shared search: for each bottom v keep the highest candidate top b > v
-    such that [v, b] is isolated, drop trivial or singleton results, then
-    drop results contained in another.
+    such that [v, b] is isolated (b is on v's post-dominator chain, so above
+    v), drop the whole poset, then drop results contained in another. The intervals [v, best[v]] nest or
+    are disjoint (overlapping ones would make a longer one isolated from the
+    lower bottom), so a sweep in topological order drops exactly the
+    intervals whose bottom an interval kept before it covers.
 
     [v, b] is isolated iff v dominates b from the artificial bottom and b
     post-dominates v toward the artificial top (the separator
@@ -159,23 +146,17 @@ def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
             b = stop[b]
         stop[v] = b
         last[v] = v if best[v] is None and (is_top >> v) & 1 else best[v]
-    found = []
-    for v, b in enumerate(best):
-        if b is None:
+    kept = []
+    covered = 0
+    for v in p.topo:
+        b = best[v]
+        if b is None or (covered >> v) & 1:
             continue
         members = p.interval(v, b)
-        if members != p.full_mask and size(members) >= 2:
-            found.append(IsolatedSuborder(v, b, members, kind))
-    kept = [
-        iso for iso in found
-        if not any(other.members != iso.members
-                   and other.members | iso.members == other.members
-                   for other in found)
-    ]
+        if members != p.full_mask:
+            kept.append(IsolatedSuborder(v, b, members, kind))
+            covered |= members
     kept.sort(key=lambda iso: iso.bottom)
-    for i, a in enumerate(kept):  # results of one kind never overlap
-        for b in kept[i + 1:]:
-            assert a.members & b.members == 0
     return kept
 
 

@@ -98,6 +98,7 @@ class Poset:
       down_incl    down[x] | {x}
       cover_succ   upper covers of x, ascending tuple
       cover_pred   lower covers of x, ascending tuple
+      full_mask, maximal_mask, minimal_mask   all, maximal, minimal elements
     """
 
     def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None):
@@ -185,25 +186,9 @@ class Poset:
     def lt(self, x: int, y: int) -> bool:
         return bool((self.reach[x] >> y) & 1)
 
-    def up_set(self, x: int, within: Optional[ElementSet] = None) -> ElementSet:
-        """Elements >= x, optionally intersected with `within`."""
-        u = self.up_incl[x]
-        return u if within is None else u & within
-
-    def down_set(self, x: int, within: Optional[ElementSet] = None) -> ElementSet:
-        """Elements <= x, optionally intersected with `within`."""
-        d = self.down_incl[x]
-        return d if within is None else d & within
-
     def interval(self, a: int, b: int) -> ElementSet:
         """All x with a <= x <= b; empty when a <= b fails."""
         return self.up_incl[a] & self.down_incl[b]
-
-    def maximal_elements(self) -> ElementSet:
-        return self.maximal_mask
-
-    def minimal_elements(self) -> ElementSet:
-        return self.minimal_mask
 
     def least_element_of(self, s: ElementSet) -> Optional[int]:
         """Least element of the subset s, or None.
@@ -247,21 +232,6 @@ class Poset:
             if s & (self.reach[x] | self.down[x]):
                 return False
         return True
-
-    def is_convex(self, s: ElementSet) -> bool:
-        """True iff x <= z <= y with x, y in s forces z in s.
-
-        The set of such z is (union of up-sets of s) & (union of down-sets
-        of s), so convexity is that hull coinciding with s.
-        """
-        if not s:
-            return True
-        ups = 0
-        downs = 0
-        for x in bits(s):
-            ups |= self.up_incl[x]
-            downs |= self.down_incl[x]
-        return ups & downs == s
 
     # --- structure ---
 

@@ -13,10 +13,12 @@ import random
 import time
 from typing import NamedTuple
 
-from .closures import DEFAULT_BRUTE_CAP, enumerate_closure_systems
+from .closures import enumerate_closure_systems
 from .counting import count_closures, trace_nodes
 from .generators import random_connected_poset, random_submask
 from .poset import Poset
+
+MAX_T = 3  # most elements a random constraint set holds
 
 
 class Failure(NamedTuple):
@@ -49,10 +51,9 @@ def disjointness_violations(trace) -> int:
                if node.iso_original and node.iso_original & node.t_original)
 
 
-def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
-                  max_t: int = 3, cap=DEFAULT_BRUTE_CAP) -> SelfCheckReport:
+def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0) -> SelfCheckReport:
     """Compare count_closures against enumerate_closure_systems on random
-    instances; `cap` is count_closures' leaf state budget.
+    instances, each constrained to contain up to MAX_T random elements.
 
     The RNG is fully determined by `seed`, so a failing instance can be
     regenerated from its report. Raises ValueError unless instances and
@@ -68,9 +69,9 @@ def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0,
     for i in range(instances):
         n = rng.randint(1, max_size)
         p = random_connected_poset(rng, n)
-        t = random_submask(rng, p.full_mask, max_t)
+        t = random_submask(rng, p.full_mask, MAX_T)
         want = sum(1 for _ in enumerate_closure_systems(p, t))
-        result = count_closures(p, t, cap=cap)
+        result = count_closures(p, t)
         if result.value != want:
             failures.append(Failure(i, p, t, result.value, want))
         violations += disjointness_violations(result.trace)

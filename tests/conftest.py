@@ -1,4 +1,4 @@
-"""Shared test helpers: random poset sources and the counting oracle.
+"""Shared test helpers: random poset sources and definitional oracles.
 
 Seeded random.Random drives the instance-count checks (reproducible exact
 counts); a hypothesis strategy drives the structural invariants.
@@ -7,16 +7,57 @@ counts); a hypothesis strategy drives the structural invariants.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 from hypothesis import strategies as st
 
-from closurecount import Poset, enumerate_closure_systems
+from closurecount import Poset, bits, enumerate_closure_systems
 
 
 def oracle_count(p: Poset, t: int = 0) -> int:
     """Closure systems of p containing t, by definitional enumeration: the
     independent reference for count_closures and for the leaf counter."""
     return sum(1 for _ in enumerate_closure_systems(p, required=t))
+
+
+def is_convex(p: Poset, s: int) -> bool:
+    """True iff x <= z <= y with x, y in s forces z in s: the set of such z,
+    (union of up-sets of s) & (union of down-sets of s), is s itself."""
+    ups = downs = 0
+    for x in bits(s):
+        ups |= p.up_incl[x]
+        downs |= p.down_incl[x]
+    return ups & downs == s
+
+
+def least_bottleneck(p: Poset, x: int) -> Optional[int]:
+    """Least bottleneck of x, or None.
+
+    b is a bottleneck of x when b > x, [x, b] is a chain, and everything
+    above x is in [x, b] or above b. Every upper cover of x lies in the
+    chain [x, b] of any bottleneck b, so then x has exactly one upper
+    cover, below every bottleneck: it is the only candidate for the least
+    one, and the three clauses are checked on it.
+    """
+    ups = p.cover_succ[x]
+    if len(ups) != 1:
+        return None
+    b = ups[0]
+    span = p.interval(x, b)
+    if p.lt(x, b) and p.is_chain(span) and not p.reach[x] & ~(span | p.reach[b]):
+        return b
+    return None
+
+
+def broom(k: int, reverse: bool = False) -> Poset:
+    """k diamonds, each above the common bottom 0: summit siblings, with
+    7^k closure systems. reverse=True takes the dual order, k diamonds
+    below the common top 0: bottleneck siblings, with 14^k."""
+    edges = []
+    for i in range(k):
+        b, left, right, t = range(4 * i + 1, 4 * i + 5)
+        edges += [(0, b), (b, left), (b, right), (left, t), (right, t)]
+    return Poset(4 * k + 1, [(v, u) for u, v in edges] if reverse else edges)
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:

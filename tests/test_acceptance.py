@@ -12,15 +12,17 @@ import time
 
 import pytest
 
-from closurecount import (Poset, bits, bottomless_diamond,
-                          bruteforce_candidates, bruteforce_search_space,
-                          count_closures, diamond, enumerate_closure_systems,
-                          is_closure_system, is_isolated_suborder,
-                          is_preclosure_system, is_separator, mask_of,
-                          operator_from_system, powerset_lattice, size,
-                          stacked, system_from_operator, validate_operator)
+from closurecount import (Poset, bits, bruteforce_search_space, count_closures,
+                          enumerate_closure_systems, is_isolated_suborder, mask_of)
+from closurecount.bitset import size
 from closurecount.cli import main as cli_main
-from closurecount.closures import count_preclosure_systems
+from closurecount.closures import (count_preclosure_systems, is_closure_system,
+                                   is_preclosure_system, operator_from_system,
+                                   system_from_operator, validate_operator)
+from closurecount.counting import bruteforce_candidates
+from closurecount.generators import (bottomless_diamond, diamond, powerset_lattice,
+                                     stacked)
+from closurecount.isolated import is_separator
 from closurecount.selfcheck import run_selfcheck
 from conftest import oracle_count, random_poset, random_posets
 

@@ -15,17 +15,20 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from closurecount import (AugmentedPoset, EmptyPosetError, IsoKind, Poset,
-                          TooLargeError, antichain, bits, bruteforce_candidates,
-                          bruteforce_search_space, chain,
+from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           count_closure_systems_bruteforce, count_closures,
-                          diamond, enumerate_closure_systems, explain, family,
+                          enumerate_closure_systems, explain, family,
                           find_max_bottleneck_isos, find_max_summit_isos,
-                          is_isolated_suborder, mask_of, powerset_lattice,
-                          quotient_by, random_submask, size, stacked,
-                          trace_nodes)
+                          is_isolated_suborder, mask_of, quotient_by, trace_nodes)
+from closurecount.bitset import size
+from closurecount.counting import bruteforce_candidates
+from closurecount.errors import EmptyPosetError
+from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
+                                     random_submask, stacked)
+from closurecount.isolated import IsoKind
+from closurecount.poset import AugmentedPoset
 from closurecount.selfcheck import disjointness_violations
-from conftest import (oracle_count, posets, random_poset, random_posets,
+from conftest import (broom, oracle_count, posets, random_poset, random_posets,
                       relabel)
 
 GLUED = Poset(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)])
@@ -83,6 +86,16 @@ class TestKnownValues:
         p = stacked(powerset_lattice(2), 6)
         assert count_closures(p, mask_of(required)).value == want
 
+    @pytest.mark.parametrize("reverse,base", [(False, 7), (True, 14)])
+    def test_brooms_multiply_their_diamonds(self, reverse, base):
+        # diamonds over one common bottom are summit siblings, diamonds
+        # under one common top bottleneck siblings
+        assert oracle_count(broom(3, reverse)) == base ** 3
+        assert count_closures(broom(3, reverse)).value == base ** 3
+
+    def test_broom_of_300_summit_siblings(self):
+        assert count_closures(broom(300)).value == 7 ** 300
+
 
 class TestDispatch:
     def test_chain_is_a_formula_leaf(self):
@@ -131,7 +144,7 @@ class TestDispatch:
 
     def test_maximal_constraints_are_free(self):
         p = CHAIN_TWO_TOPS
-        top_mask = p.maximal_elements()
+        top_mask = p.maximal_mask
         result = count_closures(p, top_mask)
         assert result.value == count_closures(p).value
         assert result.trace.t_original == 0
@@ -251,16 +264,15 @@ class TestLimitsAndErrors:
             count_closures(powerset_lattice(3), cap=7)
 
     def test_force_overrides_the_cap(self):
-        assert count_closures(powerset_lattice(3), cap=7, force=True).value == 61
+        assert count_closures(powerset_lattice(3), cap=None).value == 61
 
     def test_formula_paths_ignore_the_cap(self):
         assert count_closures(chain(30), cap=5).value == 2 ** 29
 
-    @pytest.mark.parametrize("force", [False, True])
-    def test_negative_cap_is_an_input_error(self, force):
+    def test_negative_cap_is_an_input_error(self):
         for p in (chain(3), powerset_lattice(3)):
             with pytest.raises(ValueError, match="nonnegative"):
-                count_closures(p, cap=-1, force=force)
+                count_closures(p, cap=-1)
         assert count_closures(chain(3), cap=0).value == 4
         assert count_closures(chain(3), cap=None).value == 4
 

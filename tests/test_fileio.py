@@ -7,10 +7,11 @@ import random
 
 import pytest
 
-from closurecount import fileio
-from closurecount import (ParseError, Poset, build_poset, chain, diamond,
-                          load_poset, parse_poset_text, to_edge_text,
-                          to_structured)
+from closurecount import Poset, fileio
+from closurecount.errors import ParseError
+from closurecount.fileio import (build_poset, parse_poset_text, read_poset_file,
+                                 to_edge_text, to_structured)
+from closurecount.generators import chain, diamond
 from closurecount.poset import MAX_EDGES, MAX_ELEMENTS
 from conftest import random_posets
 
@@ -44,6 +45,12 @@ class TestEdgeText:
             parse_poset_text(bad)
         assert exc.value.line == 5
         assert "line 5" in str(exc.value)
+
+    def test_comments_start_anywhere_on_a_line(self):
+        assert build_poset(parse_poset_text("3 # three\n0 1 # first\n1 2\n")) == chain(3)
+        with pytest.raises(ParseError) as exc:
+            parse_poset_text("3 # three\n0 1 # first\n1 zz # bad\n")
+        assert exc.value.line == 3
 
     @pytest.mark.parametrize("text,line,needle", [
         ("", None, "no element count"),
@@ -182,13 +189,13 @@ class TestFiles:
     def test_load_poset(self, tmp_path):
         f = tmp_path / "p.txt"
         f.write_text(EDGE_TEXT)
-        assert load_poset(str(f)) == diamond(2)
+        assert build_poset(read_poset_file(str(f))) == diamond(2)
 
     def test_load_json_file(self, tmp_path):
         f = tmp_path / "p.json"
         f.write_text(JSON_TEXT)
-        assert load_poset(str(f)).labels == ("bot", "left", "right", "top")
+        assert build_poset(read_poset_file(str(f))).labels == ("bot", "left", "right", "top")
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
-            load_poset(str(tmp_path / "absent.txt"))
+            read_poset_file(str(tmp_path / "absent.txt"))

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import pytest
 
-from closurecount import (Poset, Shape, ShapeKind, bottomless_diamond, chain,
-                          count_bottomless_diamond, count_chain, count_closures,
-                          count_diamond, count_special, diamond,
-                          enumerate_closure_systems, mask_of)
+from closurecount import Poset, count_closures, enumerate_closure_systems, mask_of
+from closurecount.formulas import (count_bottomless_diamond, count_chain, count_diamond,
+                                   count_special)
+from closurecount.generators import bottomless_diamond, chain, diamond
+from closurecount.poset import Shape, ShapeKind
 from conftest import oracle_count
 
 

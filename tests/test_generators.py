@@ -6,9 +6,11 @@ import random
 
 import pytest
 
-from closurecount import (Poset, ShapeKind, antichain, bottomless_diamond,
-                          chain, diamond, family, mask_of, powerset_lattice,
-                          random_connected_poset, random_submask, stacked)
+from closurecount import Poset, family, mask_of
+from closurecount.generators import (antichain, bottomless_diamond, chain, diamond,
+                                     powerset_lattice, random_connected_poset,
+                                     random_submask, stacked)
+from closurecount.poset import ShapeKind
 
 
 class TestFamilies:

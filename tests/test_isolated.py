@@ -11,13 +11,15 @@ import random
 
 import pytest
 
-from closurecount import (IsoKind, IsolatedSuborder, NotIsolatedError, Poset,
-                          SameNodeError, bits, chain, diamond, family,
-                          find_max_bottleneck_isos, find_max_summit_isos,
-                          is_isolated_suborder, is_separator, least_bottleneck,
-                          mask_of, powerset_lattice, quotient_by)
-from closurecount.isolated import nested_summit_bottoms
-from conftest import random_poset, random_posets, relabel
+from closurecount import (Poset, bits, family, find_max_bottleneck_isos,
+                          find_max_summit_isos, is_isolated_suborder, mask_of,
+                          quotient_by)
+from closurecount.errors import NotIsolatedError, SameNodeError
+from closurecount.generators import chain, diamond, powerset_lattice
+from closurecount.isolated import (IsoKind, IsolatedSuborder, is_separator,
+                                   nested_summit_bottoms)
+from conftest import (broom, is_convex, least_bottleneck, random_poset, random_posets,
+                      relabel)
 
 DIAMOND_TOP = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -51,7 +53,7 @@ class TestDefinition:
                         continue
                     m = p.interval(a, b)
                     if is_isolated_suborder(p, m):
-                        assert p.is_convex(m)
+                        assert is_convex(p, m)
                         assert p.least_element_of(m) == a
                         assert p.greatest_element_of(m) == b
 
@@ -171,7 +173,7 @@ class TestDetection:
                     assert iso.members != p.full_mask and iso.n >= 2
                     assert iso.members == p.interval(iso.bottom, iso.top)
                     if kind is IsoKind.SUMMIT:
-                        assert (p.maximal_elements() >> iso.top) & 1
+                        assert (p.maximal_mask >> iso.top) & 1
                     else:
                         assert least_bottleneck(p, iso.top) is not None
                     for other in isos[i + 1:]:
@@ -182,7 +184,7 @@ class TestDetection:
         # suborders of each kind, keep the inclusion-maximal ones, and
         # demand detection returns exactly that collection; inputs are
         # random posets up to 14 elements (connected or not), relabelled
-        # small towers and disjoint unions
+        # small towers, disjoint unions and brooms of sibling diamonds
         rng = random.Random(59)
         inputs = [p for _, p in random_posets(seed=59, count=60, max_n=8)]
         inputs += [p for _, p in random_posets(seed=79, count=60, max_n=14)]
@@ -195,11 +197,12 @@ class TestDetection:
             union = Poset(a.n + b.n, list(a.covers)
                           + [(u + a.n, v + a.n) for u, v in b.covers])
             inputs.append(relabel(union, rng))
+        inputs += [relabel(broom(k, reverse), rng) for k in (1, 2, 3) for reverse in (False, True)]
         for p in inputs:
             for kind, finder in ((IsoKind.SUMMIT, find_max_summit_isos),
                                  (IsoKind.BOTTLENECK, find_max_bottleneck_isos)):
                 kind_ok = {
-                    IsoKind.SUMMIT: lambda b: bool((p.maximal_elements() >> b) & 1),
+                    IsoKind.SUMMIT: lambda b: bool((p.maximal_mask >> b) & 1),
                     IsoKind.BOTTLENECK: lambda b: least_bottleneck(p, b) is not None,
                 }[kind]
                 pool = []
@@ -335,7 +338,7 @@ class TestQuotient:
                         assert is_isolated_suborder(p, flat)
                         top = p.greatest_element_of(flat)
                         if kind is IsoKind.SUMMIT:
-                            assert (p.maximal_elements() >> top) & 1
+                            assert (p.maximal_mask >> top) & 1
                         else:
                             assert least_bottleneck(p, top) is not None
 

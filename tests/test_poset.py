@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from closurecount import (CycleError, EmptySetError, Poset, ShapeKind, bits,
-                          mask_of)
-from conftest import posets
+from closurecount import Poset, bits, mask_of
+from closurecount.errors import CycleError, EmptySetError
+from closurecount.poset import ShapeKind
+from conftest import is_convex, posets
 
 
 class TestConstruction:
@@ -69,9 +70,9 @@ class TestOrderQueries:
 
     def test_up_and_down_sets(self):
         p = self.p
-        assert p.up_set(1) == mask_of([1, 3, 4])
-        assert p.up_set(1, within=mask_of([0, 3])) == mask_of([3])
-        assert p.down_set(3) == mask_of([0, 1, 2, 3])
+        assert p.up_incl[1] == mask_of([1, 3, 4])
+        assert p.up_incl[1] & mask_of([0, 3]) == mask_of([3])
+        assert p.down_incl[3] == mask_of([0, 1, 2, 3])
 
     def test_interval(self):
         p = self.p
@@ -81,8 +82,8 @@ class TestOrderQueries:
 
     def test_extremes(self):
         p = self.p
-        assert p.maximal_elements() == mask_of([4])
-        assert p.minimal_elements() == mask_of([0])
+        assert p.maximal_mask == mask_of([4])
+        assert p.minimal_mask == mask_of([0])
         assert p.least_element() == 0
         assert p.greatest_element() == 4
         assert p.least_element_of(mask_of([1, 2, 3])) is None
@@ -103,9 +104,10 @@ class TestOrderQueries:
 
     def test_convexity(self):
         p = self.p
-        assert p.is_convex(mask_of([0, 1, 2, 3]))
-        assert not p.is_convex(mask_of([0, 3]))  # misses the belt between
-        assert p.is_convex(mask_of([1, 3]))
+        assert is_convex(p, mask_of([0, 1, 2, 3]))
+        assert not is_convex(p, mask_of([0, 3]))  # misses the belt between
+        assert is_convex(p, mask_of([1, 3]))
+        assert is_convex(p, 0)
 
 
 class TestStructure:
