@@ -6,6 +6,10 @@ preferring structure over enumeration, in this order:
   1. disconnected posets: product over components, only ever at the root,
      since every sub-problem of a connected poset is connected;
   2. recognized shapes (chain, diamond, bottomless diamond): closed formula;
+     a sub-problem is a mask of the poset it came from (a component or a
+     part between cut points) and its shape is read off that poset's
+     masks, so it is restricted to a Poset of its own only when no formula
+     applies, for the detection and the leaf below;
   3. a useful summit suborder S' disjoint from t: the systems factor as
      (systems of the quotient P/S') x (systems of S'), since C must meet
      S'; P/S' is the suborder on the rest of P plus the bottom of S',
@@ -89,7 +93,7 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
     origin = tuple(1 << x for x in range(p.n))
     comps = p.connected_components()
     if len(comps) == 1:
-        trace = _count(p, t, origin, cap)
+        trace = _count(p, p.full_mask, t, origin, cap)
     else:  # every system contains every maximal element
         trace = _product("components", p, comps, t & ~p.maximal_mask, origin, cap)
     return CountResult(trace.value, trace)
@@ -99,14 +103,28 @@ def _originals(origin: tuple, mask: ElementSet) -> ElementSet:
     return reduce(lambda acc, x: acc | origin[x], bits(mask), 0)
 
 
-def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> DecompositionTrace:
-    """Count a connected p; every sub-problem below is connected too."""
-    t &= ~p.maximal_mask  # every system contains every maximal element
+def _mapped(idmap: tuple, t: ElementSet, origin: tuple) -> tuple:
+    """t and origin taken through a restrict's or a quotient's idmap."""
+    return (mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1),
+            tuple(origin[x] for x in idmap))
+
+
+def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
+           cap: Optional[int]) -> DecompositionTrace:
+    """Count the connected suborder of p on the mask s, t within s; t and
+    origin are in p's ids. A shape is read off p's masks; only a part
+    that has none becomes a Poset of its own, for detection and the leaf.
+    Every sub-problem below is connected too."""
+    # every system contains every element maximal in s
+    t &= ~mask_of(x for x in bits(t) if not p.reach[x] & s)
     t_orig = _originals(origin, t)
-    special = count_special(p, t)
+    special = count_special(p, t, s)
     if special is not None:
-        return DecompositionTrace("special", special.value, p.n,
+        return DecompositionTrace("special", special.value, size(s),
                                   shape=special.shape, t_original=t_orig)
+    if s != p.full_mask:
+        p, idmap = p.restrict(s)
+        t, origin = _mapped(idmap, t, origin)
 
     for finder in (find_max_summit_isos, find_max_bottleneck_isos):
         usable = [iso for iso in finder(p) if not iso.members & t]
@@ -118,15 +136,17 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
         assert q.n < p.n and iso.n < p.n
         iso_orig = _originals(origin, iso.members)
         # the bottom stands for the class, so its origin is all of S'
-        q_origin = origin[:iso.bottom] + (iso_orig,) + origin[iso.bottom + 1:]
+        q_t, q_origin = _mapped(idmap, t, origin[:iso.bottom] + (iso_orig,)
+                                + origin[iso.bottom + 1:])
         inside = _count_inside(p, iso, origin, cap)
         if iso.kind is IsoKind.SUMMIT:
-            quot = _count_restricted(q, idmap, t, q_origin, cap)
+            quot = _count(q, q.full_mask, q_t, q_origin, cap)
             value = quot.value * inside.value
             children = (quot, inside)
         else:
-            meeting = _count_restricted(q, idmap, t | 1 << iso.bottom, q_origin, cap)
-            avoiding = _count_restricted(q, idmap, t, q_origin, cap)
+            meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(iso.bottom),
+                             q_origin, cap)
+            avoiding = _count(q, q.full_mask, q_t, q_origin, cap)
             value = meeting.value * 2 * (inside.value - 1) + avoiding.value
             children = (meeting, inside, avoiding)
         return DecompositionTrace(iso.kind.value, value, p.n, children=children,
@@ -140,21 +160,13 @@ def _count(p: Poset, t: ElementSet, origin: tuple, cap: Optional[int]) -> Decomp
 
 def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
              cap: Optional[int]) -> DecompositionTrace:
-    """Product of the counts of p restricted to each part, t restricted
+    """Product of the counts of p's suborders on each part, t restricted
     with it. The parts are the components of p, whose systems combine
     independently, or the intervals between cut points (_count_inside)."""
-    children = [_count_restricted(*p.restrict(part), t, origin, cap) for part in parts]
+    children = [_count(p, part, t & part, origin, cap) for part in parts]
     return DecompositionTrace(kind, prod(c.value for c in children),
                               size(reduce(or_, parts)), children=tuple(children),
                               t_original=_originals(origin, t))
-
-
-def _count_restricted(sub: Poset, idmap: tuple, t: ElementSet, origin: tuple,
-                      cap: Optional[int]) -> DecompositionTrace:
-    """_count on a restrict's or a quotient's (sub, idmap), t and origin
-    taken through idmap."""
-    sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
-    return _count(sub, sub_t, tuple(origin[x] for x in idmap), cap)
 
 
 def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,

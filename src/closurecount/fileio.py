@@ -1,4 +1,4 @@
-"""Reading and writing poset files.
+"""Reading poset files.
 
 Two formats are accepted and distinguished by sniffing the first
 non-whitespace character:
@@ -122,18 +122,3 @@ def read_poset_file(path: str) -> PosetFileData:
 def build_poset(data: PosetFileData) -> Poset:
     return Poset(data.n, data.edges, data.labels)
 
-
-def to_edge_text(p: Poset) -> str:
-    """Edge-text serialization (cover edges only; labels have no syntax in
-    this format and are dropped)."""
-    lines = [str(p.n)]
-    lines += [f"{u} {v}" for u, v in sorted(p.covers)]
-    return "\n".join(lines) + "\n"
-
-
-def to_structured(p: Poset) -> dict:
-    """Structured serialization as a plain dict, ready for json.dumps."""
-    out = {"n": p.n, "edges": [[u, v] for u, v in sorted(p.covers)]}
-    if p.labels is not None:
-        out["labels"] = list(p.labels)
-    return out

@@ -69,18 +69,23 @@ class ConstrainedCount(NamedTuple):
     shape: Shape
 
 
-def count_special(p: Poset, t: ElementSet = 0) -> Optional[ConstrainedCount]:
-    """Dispatch to a shape formula. The formulas read only counts of
-    constrained elements, so t becomes a canonical mask with the same
-    counts. None when the poset has no recognized shape."""
-    shape = p.detect_shape()
+def count_special(p: Poset, t: ElementSet = 0,
+                  s: Optional[ElementSet] = None) -> Optional[ConstrainedCount]:
+    """Dispatch the suborder on the nonempty mask s (default: the whole
+    poset), constrained by t within s, to a shape formula. The shape is
+    read off p's masks (Poset.detect_shape), so s need not be a Poset of
+    its own. The formulas read only counts of constrained elements, so t
+    becomes a canonical mask with the same counts. None when the suborder
+    has no recognized shape."""
+    s = p.full_mask if s is None else s
+    shape = p.detect_shape(s)
     formula = {ShapeKind.CHAIN: count_chain, ShapeKind.DIAMOND: count_diamond,
                ShapeKind.BOTTOMLESS_DIAMOND: count_bottomless_diamond}.get(shape.kind)
     if formula is None:
         return None
-    below = size(t & ~(1 << p.greatest_element()))
+    below = size(t & ~(1 << p.greatest_element_of(s)))
     canonical = (1 << below) - 1  # chain 0..n-2, bottomless belt 0..width-1
     if shape.kind is ShapeKind.DIAMOND:  # bottom 0, belt 1..width
-        bottom = (t >> p.least_element()) & 1
+        bottom = (t >> p.least_element_of(s)) & 1
         canonical = bottom | ((1 << (below - bottom)) - 1) << 1
     return ConstrainedCount(formula(shape.size, canonical), shape)

@@ -300,23 +300,28 @@ class Poset:
         succ.append(())
         return AugmentedPoset(self, bot, top, tuple(succ))
 
-    def detect_shape(self) -> Shape:
-        """Classify as chain, diamond, bottomless diamond or other, with that
-        precedence (a width-1 diamond is reported as the 3-chain it is)."""
-        n = self.n
-        if self.is_chain(self.full_mask):
-            return Shape(ShapeKind.CHAIN, n)
-        least = self.least_element()
-        greatest = self.greatest_element()
+    def detect_shape(self, s: Optional[ElementSet] = None) -> Shape:
+        """Classify the suborder on the nonempty mask s (default: the whole
+        poset) as chain, diamond, bottomless diamond or other, with that
+        precedence (a width-1 diamond is reported as the 3-chain it is).
+
+        The order on s is read off this poset's masks, so a part of it is
+        classified without becoming a Poset of its own; the answer is the
+        one restrict(s) would give."""
+        s = self.full_mask if s is None else s
+        if self.is_chain(s):
+            return Shape(ShapeKind.CHAIN, size(s))
+        least = self.least_element_of(s)
+        greatest = self.greatest_element_of(s)
         if least is not None and greatest is not None:
-            belt = self.full_mask & ~(1 << least) & ~(1 << greatest)
+            belt = s & ~(1 << least) & ~(1 << greatest)
             if self.is_antichain(belt):
                 return Shape(ShapeKind.DIAMOND, size(belt))
         if greatest is not None:
-            belt = self.full_mask & ~(1 << greatest)
+            belt = s & ~(1 << greatest)
             if size(belt) >= 2 and self.is_antichain(belt):
                 return Shape(ShapeKind.BOTTOMLESS_DIAMOND, size(belt))
-        return Shape(ShapeKind.OTHER, n)
+        return Shape(ShapeKind.OTHER, size(s))
 
     # --- dunder ---
 

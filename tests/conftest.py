@@ -1,4 +1,5 @@
-"""Shared test helpers: random poset sources and definitional oracles.
+"""Shared test helpers: random poset sources, definitional oracles and
+the serializers the file round trips use.
 
 Seeded random.Random drives the instance-count checks (reproducible exact
 counts); a hypothesis strategy drives the structural invariants.
@@ -58,6 +59,22 @@ def broom(k: int, reverse: bool = False) -> Poset:
         b, left, right, t = range(4 * i + 1, 4 * i + 5)
         edges += [(0, b), (b, left), (b, right), (left, t), (right, t)]
     return Poset(4 * k + 1, [(v, u) for u, v in edges] if reverse else edges)
+
+
+def to_edge_text(p: Poset) -> str:
+    """Edge-text serialization (cover edges only; labels have no syntax in
+    this format and are dropped): the writer the parser's round trips read."""
+    lines = [str(p.n)]
+    lines += [f"{u} {v}" for u, v in sorted(p.covers)]
+    return "\n".join(lines) + "\n"
+
+
+def to_structured(p: Poset) -> dict:
+    """Structured serialization as a plain dict, ready for json.dumps."""
+    out = {"n": p.n, "edges": [[u, v] for u, v in sorted(p.covers)]}
+    if p.labels is not None:
+        out["labels"] = list(p.labels)
+    return out
 
 
 def random_poset(rng: random.Random, n: int) -> Poset:

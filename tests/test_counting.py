@@ -21,7 +21,7 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, mask_of, quotient_by, trace_nodes)
 from closurecount.bitset import size
-from closurecount.counting import bruteforce_candidates
+from closurecount.counting import _count, bruteforce_candidates
 from closurecount.errors import EmptyPosetError
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
                                      random_submask, stacked)
@@ -148,6 +148,20 @@ class TestDispatch:
         result = count_closures(p, top_mask)
         assert result.value == count_closures(p).value
         assert result.trace.t_original == 0
+
+    @pytest.mark.parametrize("part", [mask_of([0, 2, 4]), mask_of(range(5))])
+    def test_constraints_maximal_in_a_part_are_free(self, part):
+        # a part is counted on the masks of the poset it lies in; its top 4
+        # is not maximal there, yet every system of the part contains it.
+        # [0, 2, 4] is a chain, read off the masks; the N under 4 is not a
+        # shape, so it is restricted first
+        p = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
+        origin = tuple(1 << x for x in range(p.n))
+        node = _count(p, part, mask_of([0, 4]), origin, None)
+        assert node.kind == ("special" if size(part) == 3 else "brute")
+        assert node.t_original == mask_of([0]) and node.n == size(part)
+        sub, idmap = p.restrict(part)
+        assert node.value == oracle_count(sub, 1 << idmap.index(0))
 
     def test_equal_suborders_tie_break_on_low_bottom(self):
         # two independent bottleneck 2-chains feed a fork with two tops, so
@@ -288,6 +302,19 @@ def three_towers():
     return relabel(Poset(offset, edges), rng)
 
 
+def record_builds(monkeypatch) -> list:
+    """Element counts of the posets built from now on, in build order."""
+    built = []
+    init = Poset.__init__
+
+    def counting_init(self, n, *args, **kwargs):
+        built.append(n)
+        init(self, n, *args, **kwargs)
+
+    monkeypatch.setattr(Poset, "__init__", counting_init)
+    return built
+
+
 class TestComponentsAtTheRoot:
     # every sub-problem of a connected poset (an interval, a quotient, a
     # part between cut points) is connected, so only the root is split
@@ -321,7 +348,8 @@ class TestQuadraticPathsStayOff:
 
 class TestNestedSuborders:
     """The inside of a suborder is counted as one product over the intervals
-    between its cut points, each built once."""
+    between its cut points, each built at most once: a part with a shape
+    is counted on the masks of the poset it lies in, and not built."""
 
     def test_deep_tower_under_the_default_recursion_limit(self):
         limit = sys.getrecursionlimit()
@@ -333,16 +361,20 @@ class TestNestedSuborders:
 
     def test_tower_builds_at_most_twice_its_elements(self, monkeypatch):
         p = family("stacked:40")
-        built = []
-        init = Poset.__init__
-
-        def counting_init(self, n, *args, **kwargs):
-            built.append(n)
-            init(self, n, *args, **kwargs)
-
-        monkeypatch.setattr(Poset, "__init__", counting_init)
+        built = record_builds(monkeypatch)
         assert count_closures(p).value == 7 * 14 ** 39
         assert sum(built) <= 2 * p.n
+
+    @pytest.mark.parametrize("name", ["stacked:40", "relabelled stacked:12:diamond:3"])
+    def test_shaped_parts_build_nothing(self, monkeypatch, name):
+        # every part between cut points is a diamond or a chain, whose shape
+        # is read off the tower's own masks; the one build is the quotient
+        p = (relabel(family("stacked:12:diamond:3"), random.Random(9))
+             if name.startswith("relabelled") else family(name))
+        built = record_builds(monkeypatch)
+        trace = count_closures(p).trace
+        assert trace.kind == "summit"
+        assert built == [trace.children[0].n]
 
     def test_levels_carry_the_original_ids_of_their_suborders(self):
         # the inside of the split is one product over the intervals between

@@ -9,11 +9,10 @@ import pytest
 
 from closurecount import Poset, fileio
 from closurecount.errors import ParseError
-from closurecount.fileio import (build_poset, parse_poset_text, read_poset_file,
-                                 to_edge_text, to_structured)
+from closurecount.fileio import build_poset, parse_poset_text, read_poset_file
 from closurecount.generators import chain, diamond
 from closurecount.poset import MAX_EDGES, MAX_ELEMENTS
-from conftest import random_posets
+from conftest import random_posets, to_edge_text, to_structured
 
 EDGE_TEXT = """\
 # a diamond, bottom first

@@ -9,13 +9,15 @@ that fixed the bottom-in-T diamond case and the bottomless-diamond exponent.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
-from closurecount import Poset, count_closures, enumerate_closure_systems, mask_of
+from closurecount import Poset, bits, count_closures, enumerate_closure_systems, mask_of
 from closurecount.formulas import (count_bottomless_diamond, count_chain, count_diamond,
                                    count_special)
 from closurecount.generators import bottomless_diamond, chain, diamond
 from closurecount.poset import Shape, ShapeKind
-from conftest import oracle_count
+from conftest import oracle_count, random_poset
 
 
 def _counts_by_superset(p):
@@ -119,6 +121,35 @@ class TestCountSpecial:
     def test_unrecognized_shape(self):
         p = Poset(4, [(0, 1), (0, 2), (1, 3)])
         assert count_special(p) is None
+
+
+class TestShapesOnMasks:
+    """A suborder's shape and count, read off the masks of the poset it
+    lies in, equal those of the suborder built as a Poset of its own."""
+
+    @seed(9091)
+    @settings(max_examples=1000, deadline=None)
+    @given(st.randoms(use_true_random=True))
+    def test_agrees_with_the_restrict(self, rng):
+        # s is any nonempty mask, convex or not, an interval, or built to
+        # have a shape: an antichain below b whose members share a lower
+        # bound, with b above it and that bound below it or not; t is any
+        # subset of s
+        p = random_poset(rng, rng.randint(1, 10))
+        a, b = rng.randrange(p.n), rng.randrange(p.n)
+        drawn = rng.getrandbits(p.n)
+        belt, lower = 0, p.full_mask
+        for x in bits(p.down[b]):
+            if not (p.reach[x] | p.down[x]) & belt and lower & p.down[x]:
+                belt |= 1 << x
+                lower &= p.down[x]
+        s = rng.choice([drawn, p.interval(a, b), belt | 1 << b,
+                        belt | 1 << b | lower & -lower]) or 1 << a
+        t = rng.getrandbits(p.n) & s
+        sub, idmap = p.restrict(s)
+        sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
+        assert p.detect_shape(s) == sub.detect_shape()
+        assert count_special(p, t, s) == count_special(sub, sub_t)
 
 
 class TestDisconnected:
