@@ -112,9 +112,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     relations = {(u, v) for u, v in data.edges if u != v}
     dropped = len(data.edges) - len(relations)
     reduced = len(relations) - len(p.covers)
-    shape = p.detect_shape()
-    components = len(p.connected_components())
-    print(f"OK: {shape.label}, {_plural(components, 'component')}")
+    if p.n:
+        components = len(p.connected_components())
+        print(f"OK: {p.detect_shape().label}, {_plural(components, 'component')}")
+    else:
+        print("OK: empty poset")
     if reduced:
         print(f"reduced {_plural(reduced, 'transitive edge')}")
     if dropped:

@@ -13,9 +13,12 @@ decomposition are both validated against.
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import islice
+from operator import itemgetter, or_
 from typing import Iterator, NamedTuple, Optional
 
-from .bitset import ElementSet, bits, mask_of
+from .bitset import ElementSet, bits, mask_of, size
 from .errors import InvalidOperatorError, NoGreatestElementError, TooLargeError
 from .poset import Poset
 
@@ -96,15 +99,15 @@ def validate_operator(op: ClosureOperator) -> None:
             raise InvalidOperatorError(f"not isotone on cover ({x}, {y})")
 
 
-def _free_elements(p: Poset, required: ElementSet) -> tuple:
-    """Forced mask and the list of undetermined element positions.
+def _forced(p: Poset, required: ElementSet) -> ElementSet:
+    """Mask of the elements every counted system contains: the required ones
+    and every maximal element, whose up-set is just itself.
 
-    Every closure system contains every maximal element (its up-set is just
-    itself), so maximal elements join the required ones.
+    Raises ValueError when `required` has bits outside the poset.
     """
-    assert required & ~p.full_mask == 0, "required set outside the poset"
-    forced = required | p.maximal_mask
-    return forced, list(bits(p.full_mask & ~forced))
+    if required & ~p.full_mask:
+        raise ValueError(f"constraint mask {required:#x} has bits outside the poset")
+    return required | p.maximal_mask
 
 
 def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
@@ -114,7 +117,8 @@ def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
     nothing."""
     if cap is not None and p.n > cap:
         raise TooLargeError(f"n={p.n} exceeds the enumeration cap {cap}")
-    forced, free = _free_elements(p, required)
+    forced = _forced(p, required)
+    free = list(bits(p.full_mask & ~forced))
     for k in range(1 << len(free)):
         c = forced
         for i, pos in enumerate(free):
@@ -126,8 +130,29 @@ def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
 def bruteforce_search_space(p: Poset, required: ElementSet = 0) -> int:
     """Number of candidate subsets the enumerator examines for this
     instance: 2^(free elements), the leaf's nominal search space."""
-    _, free = _free_elements(p, required)
-    return 1 << len(free)
+    return 1 << size(p.full_mask & ~_forced(p, required))
+
+
+def _projection(positions: list) -> itemgetter:
+    """Map a state tuple to the tuple of its entries at `positions`. An
+    itemgetter of one index returns the bare entry, so none or one position
+    is read as a slice instead: the result is a tuple whatever the count."""
+    if len(positions) > 1:
+        return itemgetter(*positions)
+    first = positions[0] if positions else 0
+    return itemgetter(slice(first, first + len(positions)))
+
+
+def _batches(layer: dict, nxt: dict, room: int, growth: int) -> Iterator:
+    """The items of `layer` in runs that cannot take `nxt` past `room`
+    states, each sized when the one before has been expanded into it; near
+    the budget that is one state at a time."""
+    todo = iter(layer.items())
+    left = len(layer)
+    while left:
+        take = min(left, max((room - len(nxt)) // growth, 1))
+        left -= take
+        yield islice(todo, take)
 
 
 def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
@@ -142,46 +167,87 @@ def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
     the members above x are the union of the members above those covers.
     Later decisions read cl only on the frontier, the decided elements with
     an undecided lower cover, so a state is the tuple of frontier cl values
-    and equal states merge. Raises TooLargeError as soon as more than `cap`
-    states have been visited in total, checked after every state expanded,
-    so no step grows past the budget (pass cap=None to lift it), and
-    ValueError for a negative cap.
+    and equal states merge.
+
+    Each step builds its projections once, as itemgetters, and takes one of
+    three forms:
+      - x forced: only the "in" transition, the kept frontier plus x;
+      - one upper cover: leaving x out copies that cover's cl, so the "out"
+        key is one projection of the state, kept slots plus that slot;
+      - several upper covers: their least cl value is the v whose up-set is
+        the union of theirs (none if no up_incl[v] is), memoised per step.
+
+    Raises TooLargeError as soon as more than `cap` states have been
+    visited in total (pass cap=None to lift it), and ValueError for a
+    negative cap or a `required` mask outside the poset. A step adds at
+    most two states per state it expands (one when x is forced), so a step
+    that cannot cross the budget is checked once, when it ends; one that
+    can expands its states in runs that cannot, down to one state at a
+    time, and is checked after each, so it refuses before it completes.
     """
     if cap is not None and cap < 0:
         raise ValueError(f"state budget must be nonnegative, got {cap}")
-    forced, _ = _free_elements(p, required)
+    forced = _forced(p, required)
+    up_of = p.up_incl.__getitem__
+    bottom_of = None  # up_incl[v] -> v, built for the first several-cover step
     undecided_below = [len(p.cover_pred[x]) for x in range(p.n)]
     frontier = ()  # element at each position of a state tuple
     layer = {(): 1}
     visited = 0
     for x in reversed(p.topo):
-        slots = [frontier.index(z) for z in p.cover_succ[x]]
-        for z in p.cover_succ[x]:
+        ups = p.cover_succ[x]
+        slots = [frontier.index(z) for z in ups]
+        for z in ups:
             undecided_below[z] -= 1
         keep = [i for i, z in enumerate(frontier) if undecided_below[z]]
-        joins = undecided_below[x] > 0
-        may_leave = not (forced >> x) & 1
+        tail = (x,) if undecided_below[x] else ()  # x joins the frontier
+        kept = _projection(keep)
+        stays = (forced >> x) & 1
+        if not stays and len(slots) == 1:
+            copied = _projection(keep + slots) if tail else kept
+        elif not stays:
+            above_of = _projection(slots)
+            if bottom_of is None:
+                bottom_of = {u: v for v, u in enumerate(p.up_incl)}
+            least = {}  # cl values of the covers -> key tail for their least, or None
         nxt = {}
-        least = {}  # cl values of x's upper covers -> their least, or None
+        get = nxt.get
         room = math.inf if cap is None else cap - visited
-        for state, ways in layer.items():
-            kept = tuple([state[i] for i in keep])
-            key = kept + (x,) if joins else kept
-            nxt[key] = nxt.get(key, 0) + ways
-            if may_leave:
-                above = tuple([state[i] for i in slots])
-                if above not in least:
-                    least[above] = p.least_element_of(mask_of(above))
-                m = least[above]
-                if m is not None:
-                    key = kept + (m,) if joins else kept
-                    nxt[key] = nxt.get(key, 0) + ways
+        growth = 1 if stays else 2
+        if growth * len(layer) <= room:
+            batches = (layer.items(),)
+        else:
+            batches = _batches(layer, nxt, room, growth)
+        for batch in batches:
+            if stays:
+                for state, ways in batch:
+                    key = kept(state) + tail
+                    nxt[key] = get(key, 0) + ways
+            elif len(slots) == 1:
+                for state, ways in batch:
+                    key = kept(state) + tail
+                    nxt[key] = get(key, 0) + ways
+                    key = copied(state)
+                    nxt[key] = get(key, 0) + ways
+            else:
+                for state, ways in batch:
+                    key = kept(state)
+                    into = key + tail
+                    nxt[into] = get(into, 0) + ways
+                    above = above_of(state)
+                    m = least.get(above, False)
+                    if m is False:
+                        v = bottom_of.get(reduce(or_, map(up_of, above)))
+                        m = least[above] = None if v is None else (v,) if tail else ()
+                    if m is not None:
+                        key += m
+                        nxt[key] = get(key, 0) + ways
             if len(nxt) > room:
                 raise TooLargeError(
                     f"leaf count refused: more than {cap} states (n={p.n})")
         visited += len(nxt)
         layer = nxt
-        frontier = tuple(frontier[i] for i in keep) + ((x,) if joins else ())
+        frontier = kept(frontier) + tail
     return sum(layer.values())
 
 

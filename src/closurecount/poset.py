@@ -307,8 +307,11 @@ class Poset:
 
         The order on s is read off this poset's masks, so a part of it is
         classified without becoming a Poset of its own; the answer is the
-        one restrict(s) would give."""
+        one restrict(s) would give. Raises EmptySetError on an empty mask,
+        as restrict does, the whole of an empty poset included."""
         s = self.full_mask if s is None else s
+        if not s:
+            raise EmptySetError("an empty set has no shape")
         if self.is_chain(s):
             return Shape(ShapeKind.CHAIN, size(s))
         least = self.least_element_of(s)

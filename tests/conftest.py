@@ -12,7 +12,8 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from closurecount import Poset, bits, enumerate_closure_systems
+from closurecount import Poset, bits, enumerate_closure_systems, mask_of
+from closurecount.errors import CycleError
 
 
 def oracle_count(p: Poset, t: int = 0) -> int:
@@ -99,6 +100,65 @@ def random_posets(seed: int, count: int, max_n: int):
     rng = random.Random(seed)
     for i in range(count):
         yield i, random_poset(rng, rng.randint(1, max_n))
+
+
+# Pieces for glued_poset, as (size, cover edges): diamonds and bottomless
+# diamonds of belt width 2 and 3, a one-diamond broom over a common bottom
+# and its dual under a common top.
+_PIECES = (
+    (4, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+    (5, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]),
+    (3, [(0, 2), (1, 2)]),
+    (4, [(0, 3), (1, 3), (2, 3)]),
+    (5, [(0, 1), (1, 2), (1, 3), (2, 4), (3, 4)]),
+    (5, [(1, 0), (2, 1), (3, 1), (4, 2), (4, 3)]),
+)
+
+
+def glued_poset(rng: random.Random, max_n: int = 10) -> tuple:
+    """Random poset with diamonds, bottomless diamonds and brooms glued on,
+    relabelled; returns the poset and the masks of the glued pieces.
+
+    random_poset rarely holds a diamond. Here each piece gets edges into
+    random members of it from random earlier elements outside the earlier
+    pieces or at their tops, and from its top to random earlier elements,
+    unless those make a cycle. Every piece has one top, and no edge leaves
+    a piece but from its top, so each keeps its own order inside the
+    whole. A diamond's bottom has one upper cover per belt element, and a
+    piece entered at its belt is not isolated, so the leaf counter sees
+    several upper covers.
+    """
+    n = rng.randint(1, max(1, max_n - 3))
+    edges = list(random_poset(rng, n).covers)
+    exits = list(range(n))
+    pieces = []
+    while True:
+        size, inner = rng.choice(_PIECES)
+        if n + size > max_n:
+            break
+        top = n + next(x for x in range(size) if all(u != x for u, _ in inner))
+        ins = [(rng.choice(exits), n + rng.randrange(size)) for _ in range(rng.randint(0, 2))]
+        outs = [(top, rng.randrange(n)) for _ in range(rng.randint(0, 1))]
+        glued = edges + [(n + u, n + v) for u, v in inner] + ins
+        try:
+            Poset(n + size, glued + outs)
+            glued += outs
+        except CycleError:
+            pass
+        edges = glued
+        pieces.append(((1 << size) - 1) << n)
+        exits.append(top)
+        n += size
+    perm = rng.sample(range(n), n)
+    moved = [mask_of(perm[x] for x in bits(s)) for s in pieces]
+    return Poset(n, [(perm[u], perm[v]) for u, v in edges]), moved
+
+
+def glued_posets(seed: int, count: int, max_n: int):
+    """Deterministic stream of (index, poset) pairs from glued_poset."""
+    rng = random.Random(seed)
+    for i in range(count):
+        yield i, glued_poset(rng, max_n)[0]
 
 
 @st.composite

@@ -59,6 +59,14 @@ class TestCount:
         assert (rc, out) == (3, "")
         assert err.startswith("error:")
 
+    def test_cap_is_the_leaf_state_count(self, capsys):
+        # the powerset:4 leaf visits exactly 2,639 states
+        rc, out, err = run(capsys, "count", "--gen", "powerset:4", "--cap", "2638")
+        assert (rc, out) == (3, "")
+        assert "more than 2638 states" in err
+        rc, out, _ = run(capsys, "count", "--gen", "powerset:4", "--cap", "2639")
+        assert (rc, out) == (0, "2480\n")
+
     def test_force_overrides_cap(self, capsys):
         rc, out, _ = run(capsys, "count", "--gen", "powerset:4",
                          "--cap", "5", "--force")
@@ -172,6 +180,16 @@ class TestValidate:
         rc, out, _ = run(capsys, "validate", "-")
         assert rc == 0
         assert out == "OK: other n=3, 2 components\n"
+
+    def test_empty_poset(self, capsys, tmp_path):
+        # valid input, though count refuses it: closure systems need elements
+        f = tmp_path / "empty.txt"
+        f.write_text("0\n")
+        rc, out, _ = run(capsys, "validate", str(f))
+        assert (rc, out) == (0, "OK: empty poset\n")
+        rc, out, err = run(capsys, "count", str(f))
+        assert (rc, out) == (2, "")
+        assert "nonempty" in err
 
     def test_cycle_is_exit_2(self, capsys, tmp_path):
         f = tmp_path / "cycle.txt"

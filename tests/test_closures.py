@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import gc
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -16,7 +17,7 @@ import tracemalloc
 import pytest
 
 import closurecount
-from closurecount import (Poset, TooLargeError, bits,
+from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           count_closure_systems_bruteforce,
                           enumerate_closure_systems, mask_of)
 from closurecount.closures import (ClosureOperator, count_preclosure_systems,
@@ -25,7 +26,7 @@ from closurecount.closures import (ClosureOperator, count_preclosure_systems,
                                    system_from_operator, validate_operator)
 from closurecount.errors import InvalidOperatorError, NoGreatestElementError
 from closurecount.generators import chain, diamond, powerset_lattice
-from conftest import oracle_count, random_posets
+from conftest import glued_posets, oracle_count, random_posets
 
 
 class TestIsClosureSystem:
@@ -104,6 +105,19 @@ class TestBruteForceCounts:
             count_closure_systems_bruteforce(chain(8), cap=7)
         assert count_closure_systems_bruteforce(chain(8), cap=None) == 128
 
+    @pytest.mark.parametrize("p,required,states,value", [
+        (chain(8), (1 << 8) - 1, 8, 1),
+        (powerset_lattice(4), 0, 2639, 2480),
+        (diamond(12), 0, 8192, 4109),
+    ], ids=["chain8-all-required", "powerset4", "diamond12"])
+    def test_state_count_pinned_through_the_budget(self, p, required, states, value):
+        # the budget counts exactly the states visited: a cap one below
+        # refuses, the count itself counts; with every element forced,
+        # each chain step keeps its one state, and is still checked
+        with pytest.raises(TooLargeError):
+            count_closure_systems_bruteforce(p, required, cap=states - 1)
+        assert count_closure_systems_bruteforce(p, required, cap=states) == value
+
     def test_negative_cap_is_an_input_error(self):
         with pytest.raises(ValueError, match="nonnegative"):
             count_closure_systems_bruteforce(chain(3), cap=-1)
@@ -136,10 +150,16 @@ class TestBruteForceCounts:
 
     def test_vectorized_kernel_agrees_with_pure_loop(self):
         # the leaf counting kernel (the frontier DP, which replaced the
-        # numpy kernel of this name) against the enumerator's subset loop
+        # numpy kernel of this name) against the enumerator's subset loop,
+        # also on posets with diamonds glued on, whose bottoms take the
+        # kernel's several-cover step, with and without required elements
+        rng = random.Random(6)
         for seed in (3, 4, 5):
-            for _, p in random_posets(seed=seed, count=12, max_n=9):
+            for _, p in [*random_posets(seed=seed, count=12, max_n=9),
+                         *glued_posets(seed=seed, count=12, max_n=10)]:
+                t = rng.getrandbits(p.n) & rng.getrandbits(p.n)
                 assert count_closure_systems_bruteforce(p) == oracle_count(p)
+                assert count_closure_systems_bruteforce(p, t) == oracle_count(p, t)
 
     def test_vectorized_threshold_instance(self):
         # 15 free elements, 2^15 subsets: the instance that used to cross the
@@ -155,6 +175,39 @@ class TestBruteForceCounts:
             env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "False\n"
+
+
+class TestRequiredOutsideThePoset:
+    """A required mask with bits past the poset is an input error, not an
+    assertion, so it holds under python -O too."""
+
+    @pytest.mark.parametrize("call", [
+        count_closure_systems_bruteforce,
+        lambda p, t: list(enumerate_closure_systems(p, t)),
+        bruteforce_search_space,
+    ], ids=["bruteforce", "enumerate", "search_space"])
+    def test_is_a_value_error(self, call):
+        with pytest.raises(ValueError, match="constraint mask 0x20 has bits outside the poset"):
+            call(chain(3), 1 << 5)
+
+    def test_holds_under_optimization(self):
+        src = os.path.dirname(os.path.dirname(closurecount.__file__))
+        script = (
+            "import closurecount as cc\n"
+            "from closurecount.generators import chain\n"
+            "for call in (cc.count_closure_systems_bruteforce,\n"
+            "             lambda p, t: list(cc.enumerate_closure_systems(p, t)),\n"
+            "             cc.bruteforce_search_space):\n"
+            "    try:\n"
+            "        call(chain(3), 1 << 5)\n"
+            "        print('answered')\n"
+            "    except ValueError:\n"
+            "        print('refused')\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "refused\n" * 3
 
 
 class TestCryptomorphism:

@@ -17,7 +17,7 @@ from closurecount.formulas import (count_bottomless_diamond, count_chain, count_
                                    count_special)
 from closurecount.generators import bottomless_diamond, chain, diamond
 from closurecount.poset import Shape, ShapeKind
-from conftest import oracle_count, random_poset
+from conftest import glued_poset, oracle_count, random_poset
 
 
 def _counts_by_superset(p):
@@ -131,11 +131,15 @@ class TestShapesOnMasks:
     @settings(max_examples=1000, deadline=None)
     @given(st.randoms(use_true_random=True))
     def test_agrees_with_the_restrict(self, rng):
-        # s is any nonempty mask, convex or not, an interval, or built to
-        # have a shape: an antichain below b whose members share a lower
-        # bound, with b above it and that bound below it or not; t is any
-        # subset of s
-        p = random_poset(rng, rng.randint(1, 10))
+        # p is a random poset or one with diamonds, bottomless diamonds
+        # and brooms glued on; s is any nonempty mask, convex or not, an
+        # interval, a glued piece, or built to have a shape: an antichain
+        # below b whose members share a lower bound, with b above it and
+        # that bound below it or not; t is any subset of s
+        if rng.random() < 0.5:
+            p, pieces = random_poset(rng, rng.randint(1, 10)), []
+        else:
+            p, pieces = glued_poset(rng, rng.randint(6, 10))
         a, b = rng.randrange(p.n), rng.randrange(p.n)
         drawn = rng.getrandbits(p.n)
         belt, lower = 0, p.full_mask
@@ -144,7 +148,7 @@ class TestShapesOnMasks:
                 belt |= 1 << x
                 lower &= p.down[x]
         s = rng.choice([drawn, p.interval(a, b), belt | 1 << b,
-                        belt | 1 << b | lower & -lower]) or 1 << a
+                        belt | 1 << b | lower & -lower, *pieces]) or 1 << a
         t = rng.getrandbits(p.n) & s
         sub, idmap = p.restrict(s)
         sub_t = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)

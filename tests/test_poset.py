@@ -175,6 +175,14 @@ class TestShapes:
         shape = p.detect_shape()
         assert shape.kind is ShapeKind.DIAMOND and shape.size == 2
 
+    def test_empty_mask_has_no_shape(self):
+        # as restrict(0) refuses, so does the shape of an empty mask, the
+        # whole of the empty poset included
+        with pytest.raises(EmptySetError):
+            Poset(2, [(0, 1)]).detect_shape(0)
+        with pytest.raises(EmptySetError):
+            Poset(0, []).detect_shape()
+
     def test_labels_roundtrip(self):
         p = Poset(2, [(0, 1)], labels=["lo", "hi"])
         assert p.labels == ("lo", "hi")
