@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage
 (an element count above poset.MAX_ELEMENTS or more relation pairs than
 poset.MAX_EDGES among them), 3 refused as too large: a leaf count past its
 --cap state budget without --force, the enumerator above its element cap, or
-a decomposition nested deeper than the interpreter's recursion limit (the
-quotient side still recurses once per sibling suborder).
+a decomposition nested deeper than the interpreter's recursion limit (summit
+siblings collapse at once, bottleneck siblings still split one per level).
 """
 
 from __future__ import annotations

@@ -10,19 +10,20 @@ preferring structure over enumeration, in this order:
      part between cut points) and its shape is read off that poset's
      masks, so it is restricted to a Poset of its own only when no formula
      applies, for the detection and the leaf below;
-  3. a useful summit suborder S' disjoint from t: the systems factor as
-     (systems of the quotient P/S') x (systems of S'), since C must meet
-     S'; P/S' is the suborder on the rest of P plus the bottom of S',
-     which stands for the collapsed class (quotient_by); the inside S'
-     (here and in step 4) is a product over the intervals between
-     consecutive cut points of S' (members comparable to every member),
-     the summit formula applied down the summit suborders nested in S';
+  3. every useful maximal summit suborder S'_i disjoint from t, at once:
+     C(P) = C(Q) x C(S'_1) x ... x C(S'_k), since C must meet each S'_i;
+     the quotient Q is the suborder on the rest of P plus each bottom,
+     which stands for its collapsed class (quotient_by), and has no summit
+     suborder left to split; the inside of a suborder (here and in step 4)
+     is a product over the intervals between its consecutive cut points
+     (iso.cuts), the summit formula applied down its nested summit suborders;
   4. a useful bottleneck suborder S' disjoint from t: systems that meet S'
      contribute (quotient systems containing the collapsed class) x
      (2 |C(S')| - 1), where the factor counts the nonempty preclosure
      systems of S' (C may meet S' without containing its top, and the
      bottleneck above rescues least majorizers); systems avoiding S'
      entirely are in bijection with quotient systems avoiding the class;
+     one S' per node, so bottleneck siblings still split one per level;
   5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
      DP over a reverse linear extension), refused once it has visited more
      than `cap` states (cap=None lifts the budget).
@@ -45,7 +46,7 @@ from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
 from .errors import EmptyPosetError
 from .formulas import count_special
 from .isolated import (IsoKind, IsolatedSuborder, find_max_bottleneck_isos,
-                       find_max_summit_isos, nested_summit_bottoms, quotient_by)
+                       find_max_summit_isos, quotient_by)
 from .poset import Poset, Shape
 
 
@@ -54,10 +55,12 @@ class DecompositionTrace(NamedTuple):
 
     kind is one of "special", "components", "cuts" (the product over the
     parts between a suborder's cut points), "summit", "bottleneck", "brute".
-    iso_original and t_original are masks in the ids of the original poset
-    the count was asked about, so disjointness is auditable after nested
-    quotients renumber everything; search_space is 2^(free elements) of a
-    "brute" leaf, the subsets the enumerator would examine there.
+    isos are the suborders a split collapses, each counted in a child
+    after the first. iso_original, their union, and t_original are masks in
+    the ids of the original poset the count was asked about, so
+    disjointness is auditable after nested quotients renumber everything;
+    search_space is 2^(free elements) of a "brute" leaf, the subsets the
+    enumerator would examine there.
     """
 
     kind: str
@@ -65,7 +68,7 @@ class DecompositionTrace(NamedTuple):
     n: int
     children: tuple = ()
     shape: Optional[Shape] = None
-    iso: Optional[IsolatedSuborder] = None
+    isos: tuple = ()
     iso_original: ElementSet = 0
     t_original: ElementSet = 0
     search_space: int = 0
@@ -127,30 +130,33 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
         t, origin = _mapped(idmap, t, origin)
 
     for finder in (find_max_summit_isos, find_max_bottleneck_isos):
-        usable = [iso for iso in finder(p) if not iso.members & t]
-        if not usable:
+        isos = tuple(iso for iso in finder(p) if not iso.members & t)
+        if not isos:
             continue
-        iso = max(usable, key=lambda c: (c.n, -c.bottom))
-        assert not iso.members & t
-        q, idmap = quotient_by(p, iso)
-        assert q.n < p.n and iso.n < p.n
-        iso_orig = _originals(origin, iso.members)
-        # the bottom stands for the class, so its origin is all of S'
-        q_t, q_origin = _mapped(idmap, t, origin[:iso.bottom] + (iso_orig,)
-                                + origin[iso.bottom + 1:])
-        inside = _count_inside(p, iso, origin, cap)
-        if iso.kind is IsoKind.SUMMIT:
+        kind = isos[0].kind
+        if kind is IsoKind.BOTTLENECK:
+            isos = (max(isos, key=lambda c: (c.n, -c.bottom)),)
+        q, idmap = quotient_by(p, *isos)
+        assert q.n < p.n
+        # a bottom stands for its class, so its origin is all of its S'
+        classes, iso_orig = list(origin), 0
+        for iso in isos:
+            classes[iso.bottom] = _originals(origin, iso.members)
+            iso_orig |= classes[iso.bottom]
+        q_t, q_origin = _mapped(idmap, t, classes)
+        insides = tuple(_count_inside(p, iso, origin, cap) for iso in isos)
+        if kind is IsoKind.SUMMIT:
             quot = _count(q, q.full_mask, q_t, q_origin, cap)
-            value = quot.value * inside.value
-            children = (quot, inside)
+            value = quot.value * prod(c.value for c in insides)
+            children = (quot,) + insides
         else:
-            meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(iso.bottom),
+            meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
                              q_origin, cap)
             avoiding = _count(q, q.full_mask, q_t, q_origin, cap)
-            value = meeting.value * 2 * (inside.value - 1) + avoiding.value
-            children = (meeting, inside, avoiding)
-        return DecompositionTrace(iso.kind.value, value, p.n, children=children,
-                                  iso=iso, iso_original=iso_orig, t_original=t_orig)
+            value = meeting.value * 2 * (insides[0].value - 1) + avoiding.value
+            children = (meeting,) + insides + (avoiding,)
+        return DecompositionTrace(kind.value, value, p.n, children, isos=isos,
+                                  iso_original=iso_orig, t_original=t_orig)
 
     space = bruteforce_search_space(p, t)
     value = count_closure_systems_bruteforce(p, t, cap=cap)
@@ -172,7 +178,7 @@ def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
 def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
                   cap: Optional[int]) -> DecompositionTrace:
     """_count(P|S, 0) for S = iso.members: the product over the intervals
-    between consecutive cut points b = c_0 < ... < c_r < top of S.
+    between consecutive cut points iso.cuts, bottom = c_0 < ... < c_r = top.
 
     This is the summit formula C(P|S_i) = C(P|S_i / S_{i+1}) * C(S_{i+1})
     unrolled down the nested summit suborders S_i = [c_i, top]: the
@@ -180,8 +186,7 @@ def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
     stands for the class. It keeps its own original id, since no split
     suborder in the part holds it and nothing there is constrained.
     """
-    cuts = [iso.bottom] + nested_summit_bottoms(p, iso)
-    parts = [p.interval(v, w) for v, w in zip(cuts, cuts[1:] + [iso.top])]
+    parts = [p.interval(v, w) for v, w in zip(iso.cuts, iso.cuts[1:])]
     node = _product("cuts", p, parts, 0, origin, cap)
     return node.children[0] if len(parts) == 1 else node
 
@@ -219,14 +224,16 @@ def explain(trace: DecompositionTrace) -> str:
             out.append(f"{pad}product over {len(node.children)} parts between"
                        f" cut points -> {node.value}{t_note}")
         elif node.kind == "summit":
-            q, s = node.children
-            out.append(f"{pad}summit suborder [{node.iso.bottom},{node.iso.top}]"
-                       f" of {node.iso.n} elements: {node.value}"
-                       f" = {q.value} * {s.value}{t_note}")
+            isos = node.isos
+            out.append(f"{pad}summit suborder{'s' if len(isos) > 1 else ''}"
+                       f" {', '.join(f'[{i.bottom},{i.top}]' for i in isos)}"
+                       f" of {', '.join(str(i.n) for i in isos)} elements: {node.value}"
+                       f" = {' * '.join(str(c.value) for c in node.children)}{t_note}")
         elif node.kind == "bottleneck":
+            (iso,) = node.isos
             a, b, c = node.children
-            out.append(f"{pad}bottleneck suborder [{node.iso.bottom},{node.iso.top}]"
-                       f" of {node.iso.n} elements: {node.value}"
+            out.append(f"{pad}bottleneck suborder [{iso.bottom},{iso.top}]"
+                       f" of {iso.n} elements: {node.value}"
                        f" = {a.value} * 2*({b.value}-1) + {c.value}{t_note}")
         else:
             out.append(f"{pad}leaf count, search space {node.search_space}"

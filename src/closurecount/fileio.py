@@ -80,6 +80,8 @@ def _parse_json(text: str) -> PosetFileData:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested deeper than the recursion limit") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     if not isinstance(obj.get("n"), int) or isinstance(obj.get("n"), bool):

@@ -14,6 +14,7 @@ Canonical element layouts (tests rely on these ids):
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 from .bitset import bits, mask_of
 from .poset import MAX_EDGES, MAX_ELEMENTS, Poset, check_size
@@ -110,30 +111,31 @@ def family(spec: str) -> Poset:
     stacked:k (k levels of powerset:2), stacked:k:FAMILY:ARG.
     """
     parts = spec.split(":")
-    name = parts[0]
     makers = {
         "chain": chain,
         "antichain": antichain,
         "diamond": diamond,
         "bottomless": bottomless_diamond,
         "powerset": powerset_lattice,
+        "stacked": lambda k: stacked(powerset_lattice(2), k),
     }
     try:
+        levels = []  # stacked:K: prefixes, peeled in a loop however deep they nest
+        while parts[0] == "stacked" and len(parts) >= 3:
+            levels.append(int(parts[1]))
+            parts = parts[2:]
+        name = parts[0]
         if name in makers:
             if len(parts) != 2:
                 raise ValueError(f"expected {name}:N")
-            return makers[name](int(parts[1]))
-        if name == "random":
+            p = makers[name](int(parts[1]))
+        elif name == "random":
             if len(parts) not in (2, 3):
                 raise ValueError("expected random:N or random:N:SEED")
             seed = int(parts[2]) if len(parts) == 3 else 0
-            return random_connected_poset(random.Random(seed), int(parts[1]))
-        if name == "stacked":
-            if len(parts) == 2:
-                return stacked(powerset_lattice(2), int(parts[1]))
-            if len(parts) >= 3:
-                return stacked(family(":".join(parts[2:])), int(parts[1]))
-            raise ValueError("expected stacked:K or stacked:K:FAMILY:ARG")
+            p = random_connected_poset(random.Random(seed), int(parts[1]))
+        else:
+            raise ValueError(f"unknown generator family {name!r}")
+        return reduce(stacked, reversed(levels), p)
     except ValueError as exc:
         raise ValueError(f"bad generator spec {spec!r}: {exc}") from None
-    raise ValueError(f"unknown generator family {name!r} in {spec!r}")

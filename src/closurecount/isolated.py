@@ -16,12 +16,11 @@ single-entry single-exit region (Johnson, Pearson and Pingali, PLDI 1994).
 Detection therefore builds the dominator and post-dominator trees once each
 (Cooper, Harvey and Kennedy 2001) and walks them. Two definitional checks
 remain: is_isolated_suborder tests the definition itself, and is_separator
-tests the separator characterization by a path search. The isolated
-suborders nested in one under its top start at its cut points, the
-members comparable to every member (nested_summit_bottoms), so counting
-reads them off masks instead of detecting again inside each. Since S' is
-entered only at its bottom and left only at its top, the quotient P/S' is
-the suborder on the rest plus that bottom (quotient_by).
+tests the separator characterization by a path search. The cut points of
+[v, b] (the members on every path from v to b, so comparable to all), where
+the suborders nested in it under b start, are b's dominator chain down to v
+(cuts). Since S' is entered only at its bottom and left only at its top, the
+quotient by disjoint ones is the rest plus their bottoms (quotient_by).
 """
 
 from __future__ import annotations
@@ -44,6 +43,7 @@ class IsolatedSuborder(NamedTuple):
     top: int
     members: ElementSet
     kind: IsoKind
+    cuts: tuple  # bottom, ..., top: the members comparable to every member
 
     @property
     def n(self) -> int:
@@ -101,10 +101,11 @@ def _idoms(order, preds, root: int) -> list:
 def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
     """Shared search: for each bottom v keep the highest candidate top b > v
     such that [v, b] is isolated (b is on v's post-dominator chain, so above
-    v), drop the whole poset, then drop results contained in another. The intervals [v, best[v]] nest or
-    are disjoint (overlapping ones would make a longer one isolated from the
-    lower bottom), so a sweep in topological order drops exactly the
-    intervals whose bottom an interval kept before it covers.
+    v), drop the whole poset, then drop results contained in another. The
+    intervals [v, best[v]] nest or are disjoint (overlapping ones would
+    make a longer one isolated from the lower bottom), so a sweep in
+    topological order drops exactly the intervals whose bottom an interval
+    kept before it covers.
 
     [v, b] is isolated iff v dominates b from the artificial bottom and b
     post-dominates v toward the artificial top (the separator
@@ -146,15 +147,17 @@ def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
             b = stop[b]
         stop[v] = b
         last[v] = v if best[v] is None and (is_top >> v) & 1 else best[v]
-    kept = []
-    covered = 0
+    kept, covered = [], 0
     for v in p.topo:
         b = best[v]
         if b is None or (covered >> v) & 1:
             continue
         members = p.interval(v, b)
         if members != p.full_mask:
-            kept.append(IsolatedSuborder(v, b, members, kind))
+            cuts = [b]
+            while cuts[-1] != v:
+                cuts.append(idom[cuts[-1]])
+            kept.append(IsolatedSuborder(v, b, members, kind, tuple(reversed(cuts))))
             covered |= members
     kept.sort(key=lambda iso: iso.bottom)
     return kept
@@ -175,30 +178,15 @@ def find_max_summit_isos(p: Poset) -> list:
     return _max_isos(p, tops, IsoKind.SUMMIT)
 
 
-def nested_summit_bottoms(p: Poset, iso: IsolatedSuborder) -> list:
-    """Bottoms w_1, ..., w_r, outermost first, of the isolated suborders
-    [w_i, top] strictly inside iso that share its top.
-
-    In P|S (S = iso.members) top is the greatest element, so [w, top] is
-    isolated in P|S iff every member of S is either >= w or < w: the
-    summit suborders of P|S with two or more members are the [w, top]
-    with w a cut point of S strictly between iso.bottom and top. Cut
-    points are pairwise comparable, so the suborders nest,
-    S = S_0 > S_1 > ... > S_r, and since isolation carries over to
-    sub-intervals (inside an isolated S_i, isolated in P|S_i and in P|S
-    mean the same thing), S_{i+1} is the largest summit suborder of P|S_i,
-    the one that counting P|S_i collapses.
-    """
-    s = iso.members
-    cuts = [w for w in bits(s) if not s & ~(p.up_incl[w] | p.down_incl[w])]
-    return sorted(cuts, key=lambda w: size(p.down[w]))[1:-1]  # drop bottom, top
-
-
-def quotient_by(p: Poset, iso: IsolatedSuborder) -> tuple:
-    """P/S' for an isolated suborder S', as p.restrict's (poset, idmap) on
-    the rest plus the bottom, which stands for S' and keeps its own label:
-    an element outside S' is above (below) some member iff it is above
-    (below) the bottom."""
-    if not is_isolated_suborder(p, iso.members):
-        raise NotIsolatedError(f"mask {iso.members:#x} is not an isolated suborder")
-    return p.restrict(p.full_mask & ~iso.members | 1 << iso.bottom)
+def quotient_by(p: Poset, *isos: IsolatedSuborder) -> tuple:
+    """P/S'_1/.../S'_k for pairwise disjoint isolated suborders S'_i, as
+    p.restrict's (poset, idmap) on the rest plus every bottom, which stands
+    for its S'_i and keeps its own label: an element outside S'_i is above
+    (below) some member iff it is above (below) the bottom."""
+    rest = p.full_mask
+    for iso in isos:
+        if iso.members & ~rest or not is_isolated_suborder(p, iso.members):
+            raise NotIsolatedError(f"mask {iso.members:#x} is not an isolated"
+                                   " suborder disjoint from the others")
+        rest &= ~iso.members
+    return p.restrict(rest | mask_of(iso.bottom for iso in isos))

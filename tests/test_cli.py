@@ -117,6 +117,19 @@ class TestCount:
         rc, out, _ = run(capsys, "count", "--gen", "stacked:600")
         assert (rc, out) == (0, f"{7 * 14 ** 599}\n")
 
+    @pytest.mark.parametrize("command,want", [("count", "2\n"), ("decompose", "none\n")])
+    def test_stacked_prefixes_nest_past_the_recursion_limit(self, capsys, command, want):
+        spec = "stacked:1:" * 1200 + "chain:2"
+        rc, out, _ = run(capsys, command, "--gen", spec)
+        assert (rc, out) == (0, want)
+
+    @pytest.mark.parametrize("command", ["count", "validate"])
+    def test_json_nested_past_the_recursion_limit_is_exit_2(self, capsys, tmp_path, command):
+        f = tmp_path / "deep.json"
+        f.write_text('{"n": 2, "edges": ' + "[" * 100_000)
+        rc, out, err = run(capsys, command, str(f))
+        assert (rc, out) == (2, "") and "invalid JSON" in err
+
     def test_recursion_error_is_exit_3(self, capsys, monkeypatch):
         def too_deep(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")

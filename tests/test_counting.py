@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import random
 import sys
+import time
+from math import prod
 
 import pytest
 from hypothesis import given, seed, settings
@@ -28,8 +30,8 @@ from closurecount.generators import (antichain, chain, diamond, powerset_lattice
 from closurecount.isolated import IsoKind
 from closurecount.poset import AugmentedPoset
 from closurecount.selfcheck import disjointness_violations
-from conftest import (broom, oracle_count, posets, random_poset, random_posets,
-                      relabel)
+from conftest import (broom, glued_poset, oracle_count, posets, random_poset,
+                      random_posets, relabel)
 
 GLUED = Poset(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -96,6 +98,15 @@ class TestKnownValues:
     def test_broom_of_300_summit_siblings(self):
         assert count_closures(broom(300)).value == 7 ** 300
 
+    def test_broom_of_1000_summit_siblings_in_one_quotient(self):
+        # the 1000 diamonds are collapsed together: one quotient, one
+        # recursive call, so neither the depth nor the time grows with k
+        start = time.process_time()
+        trace = count_closures(broom(1000)).trace
+        assert time.process_time() - start < 1.0
+        assert trace.value == 7 ** 1000
+        assert trace.kind == "summit" and len(trace.isos) == 1000
+
 
 class TestDispatch:
     def test_chain_is_a_formula_leaf(self):
@@ -110,14 +121,15 @@ class TestDispatch:
     def test_stack_splits_at_a_summit(self):
         trace = count_closures(stacked(powerset_lattice(2), 2)).trace
         assert trace.kind == "summit"
-        assert trace.iso.kind is IsoKind.SUMMIT
+        (iso,) = trace.isos
+        assert iso.kind is IsoKind.SUMMIT
         quot, inside = trace.children
         assert trace.value == quot.value * inside.value
 
     def test_two_tops_split_at_a_bottleneck(self):
         trace = count_closures(CHAIN_TWO_TOPS).trace
         assert trace.kind == "bottleneck"
-        assert (trace.iso.bottom, trace.iso.top) == (0, 1)
+        assert [(iso.bottom, iso.top) for iso in trace.isos] == [(0, 1)]
         meeting, inside, avoiding = trace.children
         assert trace.value == meeting.value * 2 * (inside.value - 1) + avoiding.value
 
@@ -139,7 +151,7 @@ class TestDispatch:
         t = mask_of([iso.bottom])
         assert iso.members & t
         result = count_closures(p, t)
-        assert result.trace.kind != "summit" or not result.trace.iso.members & t
+        assert not any(iso.members & t for iso in result.trace.isos)
         assert result.value == oracle_count(p, t)
 
     def test_maximal_constraints_are_free(self):
@@ -172,8 +184,35 @@ class TestDispatch:
         assert {(i.bottom, i.top) for i in isos} == {(0, 1), (2, 3)}
         trace = count_closures(p).trace
         assert trace.kind == "bottleneck"
-        assert trace.iso.bottom == 0
+        assert [iso.bottom for iso in trace.isos] == [0]
         assert trace.value == 16 == oracle_count(p)
+
+
+class TestSummitSiblings:
+    def test_a_summit_quotient_never_splits_on_a_summit(self):
+        # all usable summit suborders are collapsed at once, and one of the
+        # quotient holding a class would lift to a larger one of P
+        rng = random.Random(113)
+        cases = [(broom(3), 0)]
+        for i in range(400):
+            p = random_poset(rng, rng.randint(1, 12)) if i < 100 else glued_poset(rng, 24)[0]
+            cases.append((p, random_submask(rng, p.full_mask, 3)))
+        summits = siblings = 0
+        for p, t in cases:
+            for node in trace_nodes(count_closures(p, t).trace):
+                if node.kind == "summit":
+                    assert node.children[0].kind != "summit"
+                    summits += 1
+                    siblings += len(node.isos) > 1
+        assert summits > 150 and siblings > 15
+
+    def test_siblings_collapse_in_one_node(self):
+        trace = count_closures(broom(3)).trace
+        assert [(iso.bottom, iso.top) for iso in trace.isos] == [(1, 4), (5, 8), (9, 12)]
+        assert trace.iso_original == mask_of(range(1, 13))
+        assert explain(trace).splitlines()[0] == (
+            "summit suborders [1,4], [5,8], [9,12] of 4, 4, 4 elements:"
+            " 343 = 1 * 7 * 7 * 7")
 
 
 class TestAgainstOracle:
@@ -189,13 +228,11 @@ class TestAgainstOracle:
             trace = count_closures(p).trace
             for node in trace_nodes(trace):
                 if node.kind in ("components", "cuts"):
-                    prod = 1
-                    for c in node.children:
-                        prod *= c.value
-                    assert node.value == prod
+                    assert node.value == prod(c.value for c in node.children)
                 elif node.kind == "summit":
-                    q, s = node.children
-                    assert node.value == q.value * s.value
+                    q, *insides = node.children
+                    assert len(insides) == len(node.isos)
+                    assert node.value == q.value * prod(s.value for s in insides)
                 elif node.kind == "bottleneck":
                     a, b, c = node.children
                     assert node.value == a.value * 2 * (b.value - 1) + c.value
@@ -385,7 +422,8 @@ class TestNestedSuborders:
         root = count_closures(p).trace
         assert root.kind == "summit"
         s = root.iso_original
-        assert is_isolated_suborder(p, s) and size(s) == root.iso.n
+        (iso,) = root.isos
+        assert is_isolated_suborder(p, s) and size(s) == iso.n
         cuts = sorted((w for w in bits(s)
                        if all(p.leq(w, x) or p.leq(x, w) for x in bits(s))),
                       key=lambda w: size(p.down[w]))

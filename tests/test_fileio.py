@@ -112,6 +112,10 @@ class TestStructured:
             parse_poset_text(text)
         assert needle in str(exc.value)
 
+    def test_nesting_past_the_recursion_limit_is_a_parse_error(self):
+        with pytest.raises(ParseError, match="invalid JSON"):
+            parse_poset_text('{"n": 2, "edges": ' + "[" * 100_000)
+
     def test_sniffing_tolerates_leading_whitespace(self):
         assert parse_poset_text('  \n {"n": 1}').fmt == "json"
         assert parse_poset_text("  \n 1\n").fmt == "edges"

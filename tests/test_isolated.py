@@ -16,10 +16,9 @@ from closurecount import (Poset, bits, family, find_max_bottleneck_isos,
                           quotient_by)
 from closurecount.errors import NotIsolatedError, SameNodeError
 from closurecount.generators import chain, diamond, powerset_lattice
-from closurecount.isolated import (IsoKind, IsolatedSuborder, is_separator,
-                                   nested_summit_bottoms)
-from conftest import (broom, is_convex, least_bottleneck, random_poset, random_posets,
-                      relabel)
+from closurecount.isolated import IsoKind, IsolatedSuborder, is_separator
+from conftest import (broom, glued_posets, is_convex, least_bottleneck, random_poset,
+                      random_posets, relabel)
 
 DIAMOND_TOP = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -236,11 +235,12 @@ class TestNestedSummits:
         p = family("stacked:4")  # level j: bottom 4j, belt 4j+1 and 4j+2, top 4j+3
         (iso,) = find_max_summit_isos(p)
         assert (iso.bottom, iso.top) == (3, 15)
-        assert nested_summit_bottoms(p, iso) == [4, 7, 8, 11, 12]
+        assert iso.cuts == (3, 4, 7, 8, 11, 12, 15)
 
     def test_equals_detection_repeated_on_each_inside(self):
         # the cut points of S strictly inside it are what find_max_summit_isos
-        # finds on P|S, then on the inside of that, and so on
+        # finds on P|S, then on the inside of that, and so on; the ends of
+        # iso.cuts are its bottom and top
         rng = random.Random(5150)
         cases = [p for _, p in random_posets(77, 150, 12)]
         cases += [relabel(family(f"stacked:{k}:random:{m}:{k}"), rng)
@@ -259,7 +259,8 @@ class TestNestedSummits:
                     want.append(idmap[nxt.bottom])
                     sub, ids = sub.restrict(nxt.members)
                     idmap = tuple(idmap[i] for i in ids)
-                got = nested_summit_bottoms(p, iso)
+                assert (iso.cuts[0], iso.cuts[-1]) == (iso.bottom, iso.top)
+                got = list(iso.cuts[1:-1])
                 assert got == want
                 assert all(p.leq(w, x) or p.leq(x, w)
                            for w in got for x in bits(iso.members))
@@ -284,7 +285,7 @@ class TestQuotient:
 
     def test_not_isolated_raises(self):
         p = diamond(2)
-        bogus = IsolatedSuborder(1, 3, mask_of([1, 3]), IsoKind.SUMMIT)
+        bogus = IsolatedSuborder(1, 3, mask_of([1, 3]), IsoKind.SUMMIT, (1, 3))
         with pytest.raises(NotIsolatedError):
             quotient_by(p, bogus)
 
@@ -348,3 +349,37 @@ class TestQuotient:
                 q, idmap = quotient_by(p, iso)
                 assert q.n == p.n - iso.n + 1
                 assert mask_of(idmap) & iso.members == 1 << iso.bottom
+
+    def test_several_disjoint_suborders_equal_the_iterated_quotient(self):
+        # collapsing a and b at once is collapsing a, then b's image in P/a
+        cases = [p for _, p in random_posets(seed=79, count=60, max_n=10)]
+        cases += [p for _, p in glued_posets(seed=83, count=60, max_n=16)]
+        cases += [broom(3), broom(3, reverse=True)]
+        checked = 0
+        for p in cases:
+            isos = find_max_summit_isos(p) + find_max_bottleneck_isos(p)
+            for a in isos:
+                for b in isos:
+                    if a is b or a.members & b.members:
+                        continue
+                    q, idmap = quotient_by(p, a, b)
+                    q1, map1 = quotient_by(p, a)
+                    new_id = {x: i for i, x in enumerate(map1)}
+                    b1 = IsolatedSuborder(new_id[b.bottom], new_id[b.top],
+                                          mask_of(new_id[x] for x in bits(b.members)),
+                                          b.kind, tuple(new_id[x] for x in b.cuts))
+                    q2, map2 = quotient_by(q1, b1)
+                    assert q == q2
+                    assert idmap == tuple(map1[i] for i in map2)
+                    checked += 1
+        assert checked > 50
+
+    def test_overlapping_or_repeated_suborders_raise(self):
+        p = family("stacked:3")
+        (iso,) = find_max_summit_isos(p)
+        inner = IsolatedSuborder(iso.cuts[1], iso.top, p.interval(iso.cuts[1], iso.top),
+                                 IsoKind.SUMMIT, iso.cuts[1:])
+        assert is_isolated_suborder(p, inner.members)
+        for isos in ((iso, iso), (iso, inner), (inner, iso)):
+            with pytest.raises(NotIsolatedError, match="disjoint"):
+                quotient_by(p, *isos)
