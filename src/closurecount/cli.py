@@ -8,10 +8,11 @@ Subcommands:
   bench      time the counter against the definitional enumerator, CSV output
 
 Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage
-(an element count above poset.MAX_ELEMENTS or more relation pairs than
-poset.MAX_EDGES among them), 3 refused as too large: a leaf count past its
---cap state budget without --force, the enumerator above its element cap, or
-a decomposition nested deeper than the interpreter's recursion limit (summit
+(a negative --cap, an element count above poset.MAX_ELEMENTS or more relation
+pairs than poset.MAX_EDGES among them), 3 refused as too large: a leaf count
+past its --cap state budget without --force, the enumerator above its element
+cap, a random:N spec not connected within the sampler's draw budget, or a
+decomposition nested deeper than the interpreter's recursion limit (summit
 siblings collapse at once, bottleneck siblings still split one per level).
 """
 
@@ -68,8 +69,10 @@ def _required_mask(text: str, p: Poset) -> int:
 
 
 def _cap(args: argparse.Namespace) -> Optional[int]:
-    """--cap, lifted by --force; a negative one is passed on to be refused."""
-    return None if args.force and args.cap >= 0 else args.cap
+    """--cap, lifted by --force; a negative one is refused before any work."""
+    if args.cap < 0:
+        raise ValueError(f"state budget must be nonnegative, got {args.cap}")
+    return None if args.force else args.cap
 
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -145,6 +148,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     specs += [("file", f) for f in args.files]
     if not specs:
         raise ValueError("nothing to benchmark: pass --family SPEC or files")
+    cap = _cap(args)
     rows = []
     all_agree = True
     for kind, name in specs:
@@ -154,7 +158,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             p, cap=None if args.force else DEFAULT_ENUM_CAP))
         enum_s = time.perf_counter() - t0
         t0 = time.perf_counter()
-        result = count_closures(p, cap=_cap(args))
+        result = count_closures(p, cap=cap)
         decomp_s = time.perf_counter() - t0
         agree = enumerated == result.value
         all_agree &= agree

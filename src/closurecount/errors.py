@@ -35,8 +35,8 @@ class EmptySetError(ClosureCountError):
 
 
 class TooLargeError(ClosureCountError):
-    """Refused as too large: a leaf count past its state budget, or an
-    enumeration over more elements than its cap."""
+    """Refused as too large: a leaf count past its state budget, an enumeration
+    over more elements than its cap, or random sampling past its draw budget."""
 
 
 class NoGreatestElementError(ClosureCountError):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -239,6 +240,8 @@ class TestSelfcheck:
     ("count", "--gen", "powerset:3", "--cap", "-5"),
     ("count", "--gen", "powerset:3", "--cap", "-5", "--force"),
     ("bench", "--family", "chain:3", "--cap", "-1"),
+    # refused before --force lets the enumerator visit 2^31 subsets
+    ("bench", "--family", "stacked:8", "--force", "--cap", "-5"),
 ])
 def test_negative_cap_is_an_input_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
@@ -274,6 +277,23 @@ class TestBench:
     def test_no_inputs_is_exit_2(self, capsys):
         rc, _, err = run(capsys, "bench")
         assert rc == 2 and "nothing to benchmark" in err
+
+
+class TestRandomSpecBudget:
+    def test_unconnectable_random_spec_is_exit_3(self):
+        # a sample on 300 elements is connected with odds near e^-15, so
+        # only the sampler's draw budget ends it; a child process with a
+        # wall timeout turns a hang into a failure
+        def cpu():
+            usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+            return usage.ru_utime + usage.ru_stime
+
+        before = cpu()
+        proc = subprocess.run(
+            [sys.executable, "-m", "closurecount", "count", "--gen", "random:300"],
+            capture_output=True, text=True, timeout=60)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert "300 elements" in proc.stderr and cpu() - before < 2
 
 
 class TestEntryPoints:

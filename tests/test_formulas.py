@@ -1,7 +1,7 @@
-"""Closed-form shape formulas against exhaustive enumeration.
+"""Closed-form shape counts against exhaustive enumeration.
 
-Each formula is checked for EVERY constraint set T over small instances:
-the systems are enumerated once per shape and the formula must match the
+count_special is checked for EVERY constraint set T over small instances:
+the systems are enumerated once per shape and the count must match the
 number of enumerated systems containing T exactly. This is the adjudication
 that fixed the bottom-in-T diamond case and the bottomless-diamond exponent.
 """
@@ -13,8 +13,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from closurecount import Poset, bits, count_closures, enumerate_closure_systems, mask_of
-from closurecount.formulas import (count_bottomless_diamond, count_chain, count_diamond,
-                                   count_special)
+from closurecount.formulas import count_special
 from closurecount.generators import bottomless_diamond, chain, diamond
 from closurecount.poset import Shape, ShapeKind
 from conftest import glued_poset, oracle_count, random_poset
@@ -26,65 +25,66 @@ def _counts_by_superset(p):
     return {t: sum(1 for c in systems if c & t == t) for t in range(1 << p.n)}
 
 
+def _value(p, t=0):
+    return count_special(p, t).value
+
+
 class TestChain:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_every_constraint_set(self, n):
-        oracle = _counts_by_superset(chain(n))
+        p = chain(n)
+        oracle = _counts_by_superset(p)
         for t in range(1 << n):
-            assert count_chain(n, t) == oracle[t]
+            assert _value(p, t) == oracle[t]
 
     def test_law(self):
         for n in range(1, 13):
-            assert count_chain(n) == 2 ** (n - 1)
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            count_chain(0)
+            assert _value(chain(n)) == 2 ** (n - 1)
 
 
 class TestDiamond:
     @pytest.mark.parametrize("w", range(1, 5))
     def test_every_constraint_set(self, w):
-        oracle = _counts_by_superset(diamond(w))
+        p = diamond(w)
+        oracle = _counts_by_superset(p)
         for t in range(1 << (w + 2)):
-            assert count_diamond(w, t) == oracle[t]
+            assert _value(p, t) == oracle[t]
 
     def test_case_values(self):
+        d2, d3, d4 = diamond(2), diamond(3), diamond(4)
         # bottom constrained: 2^(width - belt hits); the bottom itself is
         # free in the exponent since it comes along with any two belt picks
-        assert count_diamond(2, mask_of([0])) == 4
-        assert count_diamond(2, mask_of([0, 1])) == 2
-        assert count_diamond(3, mask_of([0])) == 8
+        assert _value(d2, mask_of([0])) == 4
+        assert _value(d2, mask_of([0, 1])) == 2
+        assert _value(d3, mask_of([0])) == 8
         # two belt hits force the bottom
-        assert count_diamond(2, mask_of([1, 2])) == 1
-        assert count_diamond(3, mask_of([1, 3])) == 2
+        assert _value(d2, mask_of([1, 2])) == 1
+        assert _value(d3, mask_of([1, 3])) == 2
         # one belt hit
-        assert count_diamond(2, mask_of([1])) == 3
-        assert count_diamond(4, mask_of([2])) == 9
+        assert _value(d2, mask_of([1])) == 3
+        assert _value(d4, mask_of([2])) == 9
         # unconstrained law, top membership free
-        assert count_diamond(2) == 7
-        assert count_diamond(2, mask_of([3])) == 7
+        assert _value(d2) == 7
+        assert _value(d2, mask_of([3])) == 7
         for w in range(1, 11):
-            assert count_diamond(w) == 2 ** w + w + 1
-
-    def test_rejects_zero_width(self):
-        with pytest.raises(ValueError):
-            count_diamond(0)
+            assert _value(diamond(w)) == 2 ** w + w + 1
 
 
 class TestBottomlessDiamond:
     @pytest.mark.parametrize("w", range(1, 6))
     def test_every_constraint_set(self, w):
-        oracle = _counts_by_superset(bottomless_diamond(w))
+        p = bottomless_diamond(w)
+        oracle = _counts_by_superset(p)
         for t in range(1 << (w + 1)):
-            assert count_bottomless_diamond(w, t) == oracle[t]
+            assert _value(p, t) == oracle[t]
 
     def test_law(self):
         # 2^(width - |T minus top|); the top contributes nothing
         for w in range(1, 9):
-            assert count_bottomless_diamond(w) == 2 ** w
-            assert count_bottomless_diamond(w, mask_of([w])) == 2 ** w
-            assert count_bottomless_diamond(w, mask_of([0])) == 2 ** (w - 1)
+            p = bottomless_diamond(w)
+            assert _value(p) == 2 ** w
+            assert _value(p, mask_of([w])) == 2 ** w
+            assert _value(p, mask_of([0])) == 2 ** (w - 1)
 
 
 class TestCountSpecial:

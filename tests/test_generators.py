@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from closurecount import Poset, family, mask_of
+from closurecount import Poset, TooLargeError, family, generators, mask_of
 from closurecount.generators import (antichain, bottomless_diamond, chain, diamond,
                                      powerset_lattice, random_connected_poset,
                                      random_submask, stacked)
@@ -87,6 +87,11 @@ class TestRandom:
             p = random_connected_poset(rng, rng.randint(1, 9))
             assert len(p.connected_components()) == 1
             assert Poset(p.n, p.covers) == p
+
+    def test_draw_budget_refuses_naming_n(self, monkeypatch):
+        monkeypatch.setattr(generators, "MAX_EDGE_DRAWS", 0)
+        with pytest.raises(TooLargeError, match="on 5 elements"):
+            random_connected_poset(random.Random(0), 5)
 
     def test_submask(self):
         rng = random.Random(0)
