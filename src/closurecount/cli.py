@@ -29,7 +29,7 @@ from typing import Optional
 from .bitset import bits, mask_of
 from .closures import (DEFAULT_BRUTE_CAP, DEFAULT_ENUM_CAP,
                        bruteforce_search_space, enumerate_closure_systems)
-from .counting import bruteforce_candidates, count_closures, explain
+from .counting import bruteforce_candidates, count_closures, digits, explain
 from .errors import ClosureCountError, TooLargeError
 from .fileio import build_poset, read_poset_file
 from .generators import family
@@ -81,7 +81,7 @@ def cmd_count(args: argparse.Namespace) -> int:
     result = count_closures(p, t, cap=_cap(args))
     if args.trace:
         print(explain(result.trace), file=sys.stderr)
-    print(f"{result.value:,}" if args.pretty else result.value)
+    print(digits(result.value, "," if args.pretty else ""))
     return 0
 
 

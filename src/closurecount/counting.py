@@ -206,6 +206,19 @@ def bruteforce_candidates(trace: DecompositionTrace) -> int:
     return sum(n.search_space for n in trace_nodes(trace) if n.kind == "brute")
 
 
+def digits(value: int, spec: str = "") -> str:
+    """value in decimal, formatted by spec (say "," for thousands
+    separators), however many digits it has. An int refuses to format
+    past sys.get_int_max_str_digits(), a guard meant for parsing untrusted
+    text; decimal.Decimal converts exactly past it. It is imported only
+    then, since the import adds a few ms to every process."""
+    try:
+        return format(value, spec)
+    except ValueError:
+        from decimal import Decimal
+        return format(Decimal(value), spec)
+
+
 def explain(trace: DecompositionTrace) -> str:
     """Human-readable rendering of the decomposition tree, one node per
     line, children indented under their parent."""
@@ -215,28 +228,29 @@ def explain(trace: DecompositionTrace) -> str:
         node, depth = stack.pop()
         pad = "  " * depth
         t_note = f" [|T|={size(node.t_original)}]" if node.t_original else ""
+        value = digits(node.value)
         if node.kind == "special":
-            out.append(f"{pad}{node.shape.label} -> {node.value}{t_note}")
+            out.append(f"{pad}{node.shape.label} -> {value}{t_note}")
         elif node.kind == "components":
             out.append(f"{pad}product over {len(node.children)} components"
-                       f" -> {node.value}{t_note}")
+                       f" -> {value}{t_note}")
         elif node.kind == "cuts":
             out.append(f"{pad}product over {len(node.children)} parts between"
-                       f" cut points -> {node.value}{t_note}")
+                       f" cut points -> {value}{t_note}")
         elif node.kind == "summit":
             isos = node.isos
             out.append(f"{pad}summit suborder{'s' if len(isos) > 1 else ''}"
                        f" {', '.join(f'[{i.bottom},{i.top}]' for i in isos)}"
-                       f" of {', '.join(str(i.n) for i in isos)} elements: {node.value}"
-                       f" = {' * '.join(str(c.value) for c in node.children)}{t_note}")
+                       f" of {', '.join(str(i.n) for i in isos)} elements: {value}"
+                       f" = {' * '.join(digits(c.value) for c in node.children)}{t_note}")
         elif node.kind == "bottleneck":
             (iso,) = node.isos
             a, b, c = node.children
             out.append(f"{pad}bottleneck suborder [{iso.bottom},{iso.top}]"
-                       f" of {iso.n} elements: {node.value}"
-                       f" = {a.value} * 2*({b.value}-1) + {c.value}{t_note}")
+                       f" of {iso.n} elements: {value} = {digits(a.value)}"
+                       f" * 2*({digits(b.value)}-1) + {digits(c.value)}{t_note}")
         else:
-            out.append(f"{pad}leaf count, search space {node.search_space}"
-                       f" -> {node.value}{t_note}")
+            out.append(f"{pad}leaf count, search space {digits(node.search_space)}"
+                       f" -> {value}{t_note}")
         stack.extend((child, depth + 1) for child in reversed(node.children))
     return "\n".join(out)

@@ -82,6 +82,8 @@ def _parse_json(text: str) -> PosetFileData:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno) from None
     except RecursionError:
         raise ParseError("invalid JSON: nested deeper than the recursion limit") from None
+    except ValueError as exc:  # an integer past the int/str digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level JSON value must be an object")
     if not isinstance(obj.get("n"), int) or isinstance(obj.get("n"), bool):

@@ -8,19 +8,20 @@ automatically the interval [bot, top].
 
 Two kinds support closed counting formulas: summit suborders (top is maximal
 in the whole poset) and bottleneck suborders (top has a bottleneck, which in
-a finite poset means exactly one upper cover). In the Hasse graph augmented
-with artificial endpoints, [s1, s2] is an isolated suborder iff the interval
-is nonempty, s1 separates the artificial bottom from s2, and s2 separates s1
-from the artificial top: s1 dominates s2 and s2 post-dominates s1, a
-single-entry single-exit region (Johnson, Pearson and Pingali, PLDI 1994).
-Detection therefore builds the dominator and post-dominator trees once each
-(Cooper, Harvey and Kennedy 2001) and walks them. Two definitional checks
-remain: is_isolated_suborder tests the definition itself, and is_separator
-tests the separator characterization by a path search. The cut points of
-[v, b] (the members on every path from v to b, so comparable to all), where
-the suborders nested in it under b start, are b's dominator chain down to v
-(cuts). Since S' is entered only at its bottom and left only at its top, the
-quotient by disjoint ones is the rest plus their bottoms (quotient_by).
+a finite poset means exactly one upper cover). On the order masks, [v, b]
+is an isolated suborder iff v <= b, everything above v is in [v, b] or
+above b, and everything below b is in [v, b] or below v. In the Hasse graph
+augmented with artificial endpoints these say that b post-dominates v and v
+dominates b, a single-entry single-exit region (Johnson, Pearson and
+Pingali, PLDI 1994). Detection walks each v's chain of post-dominators and
+tests the masks along it. Two definitional checks remain:
+is_isolated_suborder tests the definition itself, and is_separator tests
+the separator characterization by a path search. The cut points of [v, b]
+(the members comparable to all members, so on every path from v to b),
+where the suborders nested in it under b start, are v's post-dominator
+chain up to b (cuts). Since S' is entered only at its bottom and left only
+at its top, the quotient by disjoint ones is the rest plus their bottoms
+(quotient_by).
 """
 
 from __future__ import annotations
@@ -77,60 +78,36 @@ def is_separator(aug: AugmentedPoset, u: int, s: int, t: int) -> bool:
     return not aug.reachable_avoiding(s, t, removed=u)
 
 
-def _idoms(order, preds, root: int) -> list:
-    """Immediate dominators from a virtual root, by one pass in `order`
-    (every node after its predecessors) with the Cooper-Harvey-Kennedy
-    intersect step: climb the deeper of two candidates until they meet.
-    Nodes without predecessors hang under `root`; idom[root] is root."""
-    idom = [root] * (root + 1)
-    depth = [0] * (root + 1)
-    for v in order:
-        ps = preds[v]
-        d = ps[0] if ps else root
-        for u in ps[1:]:
-            while d != u:
-                if depth[d] >= depth[u]:
-                    d = idom[d]
-                else:
-                    u = idom[u]
-        idom[v] = d
-        depth[v] = depth[d] + 1
-    return idom
-
-
 def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
     """Shared search: for each bottom v keep the highest candidate top b > v
-    such that [v, b] is isolated (b is on v's post-dominator chain, so above
-    v), drop the whole poset, then drop results contained in another. The
-    intervals [v, best[v]] nest or are disjoint (overlapping ones would
-    make a longer one isolated from the lower bottom), so a sweep in
-    topological order drops exactly the intervals whose bottom an interval
-    kept before it covers.
+    such that [v, b] is isolated, drop the whole poset, then drop results
+    contained in another. The intervals [v, best[v]] nest or are disjoint
+    (overlapping ones would make a longer one isolated from the lower
+    bottom), so a sweep in topological order drops exactly the intervals
+    whose bottom an interval kept before it covers.
 
-    [v, b] is isolated iff v dominates b from the artificial bottom and b
-    post-dominates v toward the artificial top (the separator
-    characterization). The tops of v are therefore on v's post-dominator
-    chain, which climbs in the order, and the walk up that chain stops at
-    the first node v does not dominate: a path from the bottom to it that
-    avoids v extends upward to every later node of the chain without
-    meeting v, since v lies below them all.
+    [v, b] is isolated iff everything above v is in it or above b (b
+    post-dominates v: every path up from v meets b) and everything below b
+    is in it or below v (v dominates b), [v, b] being up[v] & down[b]. The
+    b that post-dominate v form a chain, ipdom[v], ipdom[ipdom[v]], ...:
+    each lies above v's upper covers, so on the chain of the first one, and
+    once one passes the test every later one does. Down-sets only grow up
+    the chain, so the walk up it stops at the first node v does not
+    dominate.
     """
     n = p.n
-    idom = _idoms(p.topo, p.cover_pred, n)
-    ipdom = _idoms(reversed(p.topo), p.cover_succ, n)
-    # preorder numbers of the dominator tree: v dominates w iff
-    # first[v] <= first[w] < first[v] + span[v]
-    span = [1] * (n + 1)
+    up, down = p.up_incl, p.down_incl
+    ipdom = [n] * n
     for v in reversed(p.topo):
-        span[idom[v]] += span[v]
-    first = [0] * (n + 1)
-    next_free = [1] * (n + 1)
-    for v in p.topo:
-        parent = idom[v]
-        first[v] = next_free[parent]
-        next_free[parent] += span[v]
-        next_free[v] = first[v] + 1
-    is_top = mask_of(candidate_tops)
+        covers = p.cover_succ[v]
+        if len(covers) == 1:
+            ipdom[v] = covers[0]
+        elif covers:
+            b = ipdom[covers[0]]
+            while b != n and up[v] & down[b] | up[b] != up[v]:
+                b = ipdom[b]
+            ipdom[v] = b
+    tops = set(candidate_tops)
     # Walking from v may jump from a chain node b straight to stop[b], the
     # first node of b's chain that b does not dominate: v dominates b, so
     # it dominates everything b does. last[b] is the highest candidate top
@@ -139,14 +116,13 @@ def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
     stop = [n] * n
     last = [None] * n
     for v in reversed(p.topo):
-        lo, hi = first[v], first[v] + span[v]
         b = ipdom[v]
-        while b != n and lo <= first[b] < hi:
+        while b != n and up[v] & down[b] | down[v] == down[b]:
             if last[b] is not None:
                 best[v] = last[b]
             b = stop[b]
         stop[v] = b
-        last[v] = v if best[v] is None and (is_top >> v) & 1 else best[v]
+        last[v] = v if best[v] is None and v in tops else best[v]
     kept, covered = [], 0
     for v in p.topo:
         b = best[v]
@@ -154,10 +130,11 @@ def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
             continue
         members = p.interval(v, b)
         if members != p.full_mask:
-            cuts = [b]
-            while cuts[-1] != v:
-                cuts.append(idom[cuts[-1]])
-            kept.append(IsolatedSuborder(v, b, members, kind, tuple(reversed(cuts))))
+            # the members comparable to every member: v's chain up to b
+            cuts = [v]
+            while cuts[-1] != b:
+                cuts.append(ipdom[cuts[-1]])
+            kept.append(IsolatedSuborder(v, b, members, kind, tuple(cuts)))
             covered |= members
     kept.sort(key=lambda iso: iso.bottom)
     return kept

@@ -13,8 +13,9 @@ import random
 import time
 from typing import NamedTuple
 
-from .closures import enumerate_closure_systems
+from .closures import DEFAULT_ENUM_CAP, enumerate_closure_systems
 from .counting import count_closures, trace_nodes
+from .errors import TooLargeError
 from .generators import random_connected_poset, random_submask
 from .poset import Poset
 
@@ -57,11 +58,16 @@ def run_selfcheck(instances: int = 200, max_size: int = 9, seed: int = 0) -> Sel
 
     The RNG is fully determined by `seed`, so a failing instance can be
     regenerated from its report. Raises ValueError unless instances and
-    max_size are both at least 1, so a check of nothing never reports OK.
+    max_size are both at least 1, so a check of nothing never reports OK,
+    and TooLargeError for a max_size above the enumerator's element cap.
+    Both come before any instance is drawn.
     """
     if instances < 1 or max_size < 1:
         raise ValueError(f"selfcheck needs instances and max size of at least 1, "
                          f"got {instances} and {max_size}")
+    if max_size > DEFAULT_ENUM_CAP:
+        raise TooLargeError(f"max size {max_size} exceeds the enumeration cap "
+                            f"{DEFAULT_ENUM_CAP}")
     rng = random.Random(seed)
     failures = []
     violations = 0

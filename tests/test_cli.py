@@ -8,6 +8,7 @@ import json
 import resource
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -49,6 +50,17 @@ class TestCount:
     def test_pretty(self, capsys):
         rc, out, _ = run(capsys, "count", "--gen", "chain:12", "--pretty")
         assert (rc, out) == (0, "2,048\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--pretty"]], ids=["plain", "pretty"])
+    def test_value_past_the_int_to_str_digit_limit(self, capsys, flags):
+        # 2^16383 has 4,932 digits, past CPython's default str() limit
+        rc, out, err = run(capsys, "count", "--gen", "chain:16384", *flags)
+        assert (rc, err) == (0, "")
+        groups = out.strip().split(",")
+        if flags:
+            assert len(groups[0]) <= 3 and all(len(g) == 3 for g in groups[1:])
+        assert len("".join(groups)) == 4932
+        assert Decimal("".join(groups)) == Decimal(2 ** 16383)
 
     def test_trace_goes_to_stderr(self, capsys):
         rc, out, err = run(capsys, "count", "--gen", "stacked:2", "--trace")
@@ -144,6 +156,13 @@ class TestCount:
         rc, _, err = run(capsys, "count", str(tmp_path / "absent.txt"))
         assert rc == 2 and err.startswith("error:")
 
+    def test_element_count_past_the_int_to_str_digit_limit_is_exit_2(self, capsys, tmp_path):
+        # output lifts the digit limit for counts, parsing keeps it
+        f = tmp_path / "long.txt"
+        f.write_text("9" * 5000 + "\n0 1\n")
+        rc, out, err = run(capsys, "count", str(f))
+        assert (rc, out) == (2, "") and err.startswith("error:")
+
 
 class TestDecompose:
     def test_text_report(self, capsys):
@@ -233,6 +252,16 @@ class TestSelfcheck:
         rc, out, err = run(capsys, "selfcheck", flag, value)
         assert rc == 2 and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("error: selfcheck needs")
+
+    def test_sizes_past_the_enumeration_cap_are_refused_before_any_instance(
+            self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an instance was drawn")
+
+        monkeypatch.setattr("closurecount.selfcheck.random_connected_poset", refuse)
+        rc, out, err = run(capsys, "selfcheck", "--max-size", "23")
+        assert (rc, out) == (3, "")
+        assert err == "error: max size 23 exceeds the enumeration cap 22\n"
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 import sys
 import time
+from decimal import Decimal
 from math import prod
 
 import pytest
@@ -26,7 +27,7 @@ from closurecount.bitset import size
 from closurecount.counting import _count, bruteforce_candidates
 from closurecount.errors import EmptyPosetError
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
-                                     random_submask, stacked)
+                                     random_connected_poset, random_submask, stacked)
 from closurecount.isolated import IsoKind
 from closurecount.poset import AugmentedPoset
 from closurecount.selfcheck import disjointness_violations
@@ -301,6 +302,31 @@ class TestMetamorphic:
         assert count_closure_systems_bruteforce(union, t) == want
 
 
+class TestAgainstTheWholePosetDP:
+    # Above the enumerator's reach: the whole-poset DP runs no detector,
+    # quotient or formula, and the decomposition runs the same leaf kernel
+    # only on other, smaller posets, so the two routes share little but
+    # Poset. Most of these instances split at a summit or a bottleneck.
+    @seed(1307)
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(["connected", "glued", "broom"]), st.integers(0, 2 ** 32))
+    def test_decomposition_agrees_with_the_whole_poset_dp(self, source, rng_seed):
+        rng = random.Random(rng_seed)
+        if source == "connected":
+            p = random_connected_poset(rng, rng.randint(13, 40))
+        elif source == "glued":
+            p = glued_poset(rng, rng.randint(13, 40))[0]
+        else:
+            p = relabel(broom(rng.randint(3, 7), reverse=rng.random() < 0.5), rng)
+        t = random_submask(rng, p.full_mask, 3)
+        try:
+            want = count_closure_systems_bruteforce(p, t, cap=1 << 18)
+            got = count_closures(p, t, cap=1 << 18).value
+        except TooLargeError:
+            return
+        assert got == want
+
+
 class TestLimitsAndErrors:
     def test_empty_poset(self):
         with pytest.raises(EmptyPosetError):
@@ -369,9 +395,9 @@ class TestComponentsAtTheRoot:
 
 class TestQuadraticPathsStayOff:
     def test_tower_count_without_separator_search_or_all_pairs(self, monkeypatch):
-        # detection walks dominator trees and restrict climbs covers, so a
-        # count never runs a separator search, augments the Hasse graph or
-        # asks lt for every pair of members
+        # detection tests order masks along post-dominator chains and
+        # restrict climbs covers, so a count never runs a separator search,
+        # augments the Hasse graph or asks lt for every pair of members
         p = relabel(stacked(diamond(3), 12), random.Random(12))
 
         def refuse(*args, **kwargs):
@@ -504,3 +530,10 @@ class TestExplain:
     def test_constraint_note(self):
         text = explain(count_closures(chain(5), mask_of([1])).trace)
         assert "[|T|=1]" in text
+
+    def test_values_past_the_int_to_str_digit_limit(self):
+        # 2^14999 has 4,516 digits, past CPython's default str() limit
+        text = explain(count_closures(chain(15000)).trace)
+        head, value = text.rsplit(" ", 1)
+        assert head == "chain n=15000 ->" and len(value) == 4516
+        assert Decimal(value) == Decimal(2 ** 14999)

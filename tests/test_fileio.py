@@ -134,6 +134,14 @@ class TestSizeLimit:
         with pytest.raises(ParseError, match="limit"):
             parse_poset_text('{"n": 1000000000, "edges": [[0, 1]]}')
 
+    @pytest.mark.parametrize("text", ['{"n": ' + "9" * 5000 + "}", "9" * 5000 + "\n"],
+                             ids=["json", "edge text"])
+    def test_integer_past_the_int_to_str_digit_limit(self, text):
+        # int() refuses it under CPython's default digit limit, and without
+        # that limit it is above MAX_ELEMENTS: a ParseError either way
+        with pytest.raises(ParseError):
+            parse_poset_text(text)
+
     def test_the_limit_itself_parses(self):
         assert parse_poset_text(f"{MAX_ELEMENTS}\n").n == MAX_ELEMENTS
         with pytest.raises(ParseError, match="limit"):
