@@ -3,9 +3,10 @@
 
 An isolated suborder is an interval [a, b] that the rest of the poset can
 only enter at a and leave at b. Collapsing it onto a gives a quotient
-poset, the suborder on the rest plus a; counting problems factor across
-the cut. Two kinds are detected: bottleneck (b has exactly one upper
-cover) and summit (b is a maximal element).
+poset, the suborder on the rest plus a (quotient_by returns that mask);
+counting problems factor across the cut. Two kinds are detected:
+bottleneck (b has exactly one upper cover) and summit (b is a maximal
+element).
 
 Run: python demos/03_isolated_suborders.py
 """
@@ -41,12 +42,14 @@ def main() -> None:
     print()
     print("collapsing the summit suborder of the shared-diamond poset:")
     iso = find_max_summit_isos(shared)[0]
-    q, idmap = quotient_by(shared, iso)
+    rest = quotient_by(shared, iso)  # a mask: the outside plus the bottom
+    print(f"  the quotient is the suborder on {list(bits(rest))}, "
+          f"shape {shared.detect_shape(rest).label}")
+    q, idmap = shared.restrict(rest)
     print(f"  collapsed [{iso.bottom},{iso.top}] onto its bottom, "
           f"quotient element {idmap.index(iso.bottom)}")
     print(f"  quotient covers: {sorted(q.covers)}")
     print(f"  quotient elements are the original ids {list(idmap)}")
-    print(f"  quotient shape: {q.detect_shape().label}")
     print("  counting now factors: (systems of the quotient) x (systems")
     print("  of the collapsed interval)")
 

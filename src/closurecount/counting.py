@@ -6,14 +6,14 @@ preferring structure over enumeration, in this order:
   1. disconnected posets: product over components, only ever at the root,
      since every sub-problem of a connected poset is connected;
   2. recognized shapes (chain, diamond, bottomless diamond): closed formula;
-     a sub-problem is a mask of the poset it came from (a component or a
-     part between cut points) and its shape is read off that poset's
-     masks, so it is restricted to a Poset of its own only when no formula
-     applies, for the detection and the leaf below;
+     a sub-problem is a mask of the poset it came from (a component, a
+     part between cut points or a summit quotient) and its shape is read
+     off that poset's masks, so it is restricted to a Poset of its own
+     only when no formula applies, for the detection and the leaf below;
   3. every useful maximal summit suborder S'_i disjoint from t, at once:
      C(P) = C(Q) x C(S'_1) x ... x C(S'_k), since C must meet each S'_i;
-     the quotient Q is the suborder on the rest of P plus each bottom,
-     which stands for its collapsed class (quotient_by), and has no summit
+     the quotient Q is the mask of P on the rest plus each bottom, which
+     stands for its collapsed class (quotient_by), and has no summit
      suborder left to split; the inside of a suborder (here and in step 4)
      is a product over the intervals between its consecutive cut points
      (iso.cuts), the summit formula applied down its nested summit suborders;
@@ -50,6 +50,18 @@ from .isolated import (IsoKind, IsolatedSuborder, find_max_bottleneck_isos,
 from .poset import Poset, Shape
 
 
+def _repr(value) -> str:
+    """repr with every int formatted by digits, down through tuples and
+    named tuples, since a count or a mask can pass the int/str digit limit."""
+    if not isinstance(value, tuple):
+        return digits(value) if type(value) is int else repr(value)
+    items = [_repr(v) for v in value]
+    if hasattr(value, "_fields"):  # a named tuple
+        fields = map("{}={}".format, value._fields, items)
+        return f"{type(value).__name__}({', '.join(fields)})"
+    return f"({', '.join(items)}{',' * (len(items) == 1)})"
+
+
 class DecompositionTrace(NamedTuple):
     """One node of the decomposition tree.
 
@@ -72,11 +84,13 @@ class DecompositionTrace(NamedTuple):
     iso_original: ElementSet = 0
     t_original: ElementSet = 0
     search_space: int = 0
+    __repr__ = _repr
 
 
 class CountResult(NamedTuple):
     value: int
     trace: DecompositionTrace
+    __repr__ = _repr
 
 
 def count_closures(p: Poset, t: ElementSet = 0, *,
@@ -107,7 +121,7 @@ def _originals(origin: tuple, mask: ElementSet) -> ElementSet:
 
 
 def _mapped(idmap: tuple, t: ElementSet, origin: tuple) -> tuple:
-    """t and origin taken through a restrict's or a quotient's idmap."""
+    """t and origin taken through a restrict's idmap."""
     return (mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1),
             tuple(origin[x] for x in idmap))
 
@@ -136,20 +150,21 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
         kind = isos[0].kind
         if kind is IsoKind.BOTTLENECK:
             isos = (max(isos, key=lambda c: (c.n, -c.bottom)),)
-        q, idmap = quotient_by(p, *isos)
-        assert q.n < p.n
+        q = quotient_by(p, *isos)
+        assert q != p.full_mask
         # a bottom stands for its class, so its origin is all of its S'
         classes, iso_orig = list(origin), 0
         for iso in isos:
             classes[iso.bottom] = _originals(origin, iso.members)
             iso_orig |= classes[iso.bottom]
-        q_t, q_origin = _mapped(idmap, t, classes)
         insides = tuple(_count_inside(p, iso, origin, cap) for iso in isos)
         if kind is IsoKind.SUMMIT:
-            quot = _count(q, q.full_mask, q_t, q_origin, cap)
+            quot = _count(p, q, t, tuple(classes), cap)
             value = quot.value * prod(c.value for c in insides)
             children = (quot,) + insides
-        else:
+        else:  # both children count the quotient: restrict it once
+            q, idmap = p.restrict(q)
+            q_t, q_origin = _mapped(idmap, t, classes)
             meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
                              q_origin, cap)
             avoiding = _count(q, q.full_mask, q_t, q_origin, cap)

@@ -49,10 +49,16 @@ def _parse_edge_text(text: str) -> PosetFileData:
         if n is None:
             if len(fields) != 1:
                 raise ParseError("expected the element count alone on the first line", lineno)
+            count = fields[0]
+            if count.isdecimal():  # refused by length, not echoed digit by digit
+                count = count.lstrip("0") or "0"
+                if len(count) > len(str(MAX_ELEMENTS)):
+                    raise ParseError(f"element count of {len(count)} digits is above"
+                                     f" the limit of {MAX_ELEMENTS}", lineno)
             try:
-                n = int(fields[0])
+                n = int(count)
             except ValueError:
-                raise ParseError(f"element count is not an integer: {fields[0]!r}", lineno) from None
+                raise ParseError(f"element count is not an integer: {count!r}", lineno) from None
             if n < 0:
                 raise ParseError(f"element count must be nonnegative, got {n}", lineno)
             if n > MAX_ELEMENTS:

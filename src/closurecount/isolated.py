@@ -20,8 +20,8 @@ the separator characterization by a path search. The cut points of [v, b]
 (the members comparable to all members, so on every path from v to b),
 where the suborders nested in it under b start, are v's post-dominator
 chain up to b (cuts). Since S' is entered only at its bottom and left only
-at its top, the quotient by disjoint ones is the rest plus their bottoms
-(quotient_by).
+at its top, the quotient by disjoint ones is the suborder on the rest plus
+their bottoms, so quotient_by returns it as that mask of the poset.
 """
 
 from __future__ import annotations
@@ -155,15 +155,15 @@ def find_max_summit_isos(p: Poset) -> list:
     return _max_isos(p, tops, IsoKind.SUMMIT)
 
 
-def quotient_by(p: Poset, *isos: IsolatedSuborder) -> tuple:
-    """P/S'_1/.../S'_k for pairwise disjoint isolated suborders S'_i, as
-    p.restrict's (poset, idmap) on the rest plus every bottom, which stands
-    for its S'_i and keeps its own label: an element outside S'_i is above
-    (below) some member iff it is above (below) the bottom."""
+def quotient_by(p: Poset, *isos: IsolatedSuborder) -> ElementSet:
+    """P/S'_1/.../S'_k for pairwise disjoint isolated suborders S'_i, as the
+    mask of p on the rest plus every bottom, which stands for its S'_i: an
+    element outside S'_i is above (below) some member iff it is above
+    (below) the bottom. p.restrict of the mask builds the quotient poset."""
     rest = p.full_mask
     for iso in isos:
         if iso.members & ~rest or not is_isolated_suborder(p, iso.members):
             raise NotIsolatedError(f"mask {iso.members:#x} is not an isolated"
                                    " suborder disjoint from the others")
         rest &= ~iso.members
-    return p.restrict(rest | mask_of(iso.bottom for iso in isos))
+    return rest | mask_of(iso.bottom for iso in isos)

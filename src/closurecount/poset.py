@@ -191,27 +191,23 @@ class Poset:
         return self.up_incl[a] & self.down_incl[b]
 
     def least_element_of(self, s: ElementSet) -> Optional[int]:
-        """Least element of the subset s, or None.
-
-        A finite nonempty subset has a least element iff it has exactly one
-        minimal element, since every member majorizes some minimal member.
-        """
-        found = None
-        for x in bits(s):
-            if not self.down[x] & s:
-                if found is not None:
-                    return None
-                found = x
-        return found
+        """Least element of the subset s, or None: from the smallest id,
+        step to a member below until none is, in at most height steps. The
+        member reached is minimal, so least iff below every member."""
+        x, below = None, s
+        while below:
+            x = (below & -below).bit_length() - 1
+            below = self.down[x] & s
+        return x if s and self.up_incl[x] & s == s else None
 
     def greatest_element_of(self, s: ElementSet) -> Optional[int]:
-        found = None
-        for x in bits(s):
-            if not self.reach[x] & s:
-                if found is not None:
-                    return None
-                found = x
-        return found
+        """Greatest element of the subset s, or None: the dual walk, up from
+        the largest id."""
+        x, above = None, s
+        while above:
+            x = above.bit_length() - 1
+            above = self.reach[x] & s
+        return x if s and self.down_incl[x] & s == s else None
 
     def least_element(self) -> Optional[int]:
         return self.least_element_of(self.full_mask)
@@ -237,7 +233,9 @@ class Poset:
 
     def connected_components(self) -> list:
         """Masks of the components of the comparability graph, ordered by
-        smallest member."""
+        smallest member. A poset with a top or a bottom is connected."""
+        if size(self.maximal_mask) == 1 or size(self.minimal_mask) == 1:
+            return [self.full_mask]
         seen = 0
         out = []
         for root in range(self.n):

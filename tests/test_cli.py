@@ -162,6 +162,7 @@ class TestCount:
         f.write_text("9" * 5000 + "\n0 1\n")
         rc, out, err = run(capsys, "count", str(f))
         assert (rc, out) == (2, "") and err.startswith("error:")
+        assert len(err.splitlines()) == 1 and len(err) < 100  # not every digit
 
 
 class TestDecompose:

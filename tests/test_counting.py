@@ -24,7 +24,7 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, mask_of, quotient_by, trace_nodes)
 from closurecount.bitset import size
-from closurecount.counting import _count, bruteforce_candidates
+from closurecount.counting import _count, bruteforce_candidates, digits
 from closurecount.errors import EmptyPosetError
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
                                      random_connected_poset, random_submask, stacked)
@@ -248,7 +248,7 @@ class TestAgainstOracle:
                 t = random_submask(rng, p.full_mask & ~iso.members, 2)
                 systems = [c.members for c in enumerate_closure_systems(p, required=t)]
                 meeting = sum(1 for c in systems if c & iso.members)
-                q, idmap = quotient_by(p, iso)
+                q, idmap = p.restrict(quotient_by(p, iso))
                 # the bottom's id stands for the class of all of iso.members
                 qt = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
                 qsystems = [c.members
@@ -430,14 +430,14 @@ class TestNestedSuborders:
 
     @pytest.mark.parametrize("name", ["stacked:40", "relabelled stacked:12:diamond:3"])
     def test_shaped_parts_build_nothing(self, monkeypatch, name):
-        # every part between cut points is a diamond or a chain, whose shape
-        # is read off the tower's own masks; the one build is the quotient
+        # every part between cut points is a diamond or a chain, and so is
+        # the quotient; each shape is read off the tower's own masks
         p = (relabel(family("stacked:12:diamond:3"), random.Random(9))
              if name.startswith("relabelled") else family(name))
         built = record_builds(monkeypatch)
         trace = count_closures(p).trace
-        assert trace.kind == "summit"
-        assert built == [trace.children[0].n]
+        assert trace.kind == "summit" and trace.children[0].kind == "special"
+        assert built == []
 
     def test_levels_carry_the_original_ids_of_their_suborders(self):
         # the inside of the split is one product over the intervals between
@@ -537,3 +537,30 @@ class TestExplain:
         head, value = text.rsplit(" ", 1)
         assert head == "chain n=15000 ->" and len(value) == 4516
         assert Decimal(value) == Decimal(2 ** 14999)
+
+    def test_repr_reads_like_the_named_tuple_default(self):
+        assert repr(count_closures(chain(2))) == (
+            "CountResult(value=2, trace=DecompositionTrace(kind='special', value=2,"
+            " n=2, children=(), shape=Shape(kind=<ShapeKind.CHAIN: 'chain'>, size=2),"
+            " isos=(), iso_original=0, t_original=0, search_space=0))")
+        text = repr(count_closures(stacked(powerset_lattice(2), 2)))
+        assert ("isos=(IsolatedSuborder(bottom=3, top=7, members=248, kind="
+                "<IsoKind.SUMMIT: 'summit'>, cuts=(3, 4, 7)),), iso_original=248") in text
+
+    def test_repr_past_the_int_to_str_digit_limit(self):
+        # a bottomless diamond glued under a diamond of width 15,000: the
+        # count, the suborder's members and their original mask each have
+        # over 4,300 digits, which the named tuple default repr refuses
+        w = 15000
+        n = w + 4
+        p = Poset(n, [(0, 2), (1, 2)] + [(2, x) for x in range(3, n - 1)]
+                  + [(x, n - 1) for x in range(3, n - 1)])
+        result = count_closures(p)
+        assert result.value == 4 * (2 ** w + w + 1)
+        (iso,) = result.trace.isos
+        text = repr(result)
+        assert text.startswith(f"CountResult(value={digits(result.value)}, trace="
+                               "DecompositionTrace(kind='summit'")
+        assert f"members={digits(iso.members)}, kind=" in text
+        assert text.endswith(f"iso_original={digits(iso.members)}, t_original=0,"
+                             " search_space=0))")

@@ -142,6 +142,14 @@ class TestSizeLimit:
         with pytest.raises(ParseError):
             parse_poset_text(text)
 
+    def test_a_long_element_count_is_refused_in_one_short_line(self):
+        with pytest.raises(ParseError) as exc:
+            parse_poset_text("9" * 5000 + "\n0 1\n")
+        assert exc.value.line == 1 and "5000 digits" in str(exc.value)
+        assert len(str(exc.value)) < 100
+        # leading zeros are not digits of the count
+        assert parse_poset_text("0" * 5000 + "3\n0 1\n").n == 3
+
     def test_the_limit_itself_parses(self):
         assert parse_poset_text(f"{MAX_ELEMENTS}\n").n == MAX_ELEMENTS
         with pytest.raises(ParseError, match="limit"):

@@ -278,7 +278,9 @@ def classes(iso, idmap):
 class TestQuotient:
     def test_collapse_diamond_under_top(self):
         iso = find_max_bottleneck_isos(DIAMOND_TOP)[0]
-        q, idmap = quotient_by(DIAMOND_TOP, iso)
+        rest = quotient_by(DIAMOND_TOP, iso)  # a mask: the outside plus the bottom
+        assert rest == mask_of([0, 4])
+        q, idmap = DIAMOND_TOP.restrict(rest)
         assert q == Poset(2, [(0, 1)])
         assert idmap == (0, 4)
         assert classes(iso, idmap) == (mask_of([0, 1, 2, 3]), mask_of([4]))
@@ -295,7 +297,7 @@ class TestQuotient:
         p = Poset(3, [(2, 1), (1, 0)], labels=["a", "b", "c"])
         iso = find_max_bottleneck_isos(p)[0]
         assert (iso.bottom, iso.top) == (2, 1)
-        q, idmap = quotient_by(p, iso)
+        q, idmap = p.restrict(quotient_by(p, iso))
         assert idmap == (0, 2)
         assert q.labels == ("a", "c")
 
@@ -304,7 +306,7 @@ class TestQuotient:
         # projected cover edges generate, with the same linear extension
         for _, p in random_posets(seed=61, count=60, max_n=9):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                q, idmap = quotient_by(p, iso)
+                q, idmap = p.restrict(quotient_by(p, iso))
                 new_id = {x: i for i, x in enumerate(idmap)}
                 rep = [iso.bottom if (iso.members >> x) & 1 else x for x in range(p.n)]
                 projected = Poset(q.n, {(new_id[rep[u]], new_id[rep[v]])
@@ -316,7 +318,7 @@ class TestQuotient:
         # [x] <= [y] in the quotient iff some members x' <= y' in the original
         for _, p in random_posets(seed=67, count=40, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                q, idmap = quotient_by(p, iso)
+                q, idmap = p.restrict(quotient_by(p, iso))
                 members = classes(iso, idmap)
                 for qx in range(q.n):
                     for qy in range(q.n):
@@ -328,7 +330,7 @@ class TestQuotient:
     def test_isos_found_in_the_quotient_lift(self):
         for _, p in random_posets(seed=71, count=40, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                q, idmap = quotient_by(p, iso)
+                q, idmap = p.restrict(quotient_by(p, iso))
                 members = classes(iso, idmap)
                 for kind, finder in ((IsoKind.SUMMIT, find_max_summit_isos),
                                      (IsoKind.BOTTLENECK, find_max_bottleneck_isos)):
@@ -346,7 +348,7 @@ class TestQuotient:
     def test_quotient_shrinks(self):
         for _, p in random_posets(seed=73, count=30, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
-                q, idmap = quotient_by(p, iso)
+                q, idmap = p.restrict(quotient_by(p, iso))
                 assert q.n == p.n - iso.n + 1
                 assert mask_of(idmap) & iso.members == 1 << iso.bottom
 
@@ -362,13 +364,13 @@ class TestQuotient:
                 for b in isos:
                     if a is b or a.members & b.members:
                         continue
-                    q, idmap = quotient_by(p, a, b)
-                    q1, map1 = quotient_by(p, a)
+                    q, idmap = p.restrict(quotient_by(p, a, b))
+                    q1, map1 = p.restrict(quotient_by(p, a))
                     new_id = {x: i for i, x in enumerate(map1)}
                     b1 = IsolatedSuborder(new_id[b.bottom], new_id[b.top],
                                           mask_of(new_id[x] for x in bits(b.members)),
                                           b.kind, tuple(new_id[x] for x in b.cuts))
-                    q2, map2 = quotient_by(q1, b1)
+                    q2, map2 = q1.restrict(quotient_by(q1, b1))
                     assert q == q2
                     assert idmap == tuple(map1[i] for i in map2)
                     checked += 1

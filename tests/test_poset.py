@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from closurecount import Poset, bits, mask_of
 from closurecount.errors import CycleError, EmptySetError
 from closurecount.poset import ShapeKind
-from conftest import is_convex, posets
+from conftest import is_convex, posets, random_posets, relabel
 
 
 class TestConstruction:
@@ -108,6 +108,74 @@ class TestOrderQueries:
         assert not is_convex(p, mask_of([0, 3]))  # misses the belt between
         assert is_convex(p, mask_of([1, 3]))
         assert is_convex(p, 0)
+
+
+def scan_least(p: Poset, s: int):
+    """The member below every member, by definition; None if there is none."""
+    found = [x for x in bits(s) if all(p.leq(x, y) for y in bits(s))]
+    return found[0] if found else None
+
+
+def scan_greatest(p: Poset, s: int):
+    found = [x for x in bits(s) if all(p.leq(y, x) for y in bits(s))]
+    return found[0] if found else None
+
+
+def cover_bfs_components(p: Poset) -> list:
+    """Components by a search over covers in both directions, in the order
+    of their smallest member."""
+    seen, out = 0, []
+    for root in range(p.n):
+        if not (seen >> root) & 1:
+            comp, stack = 0, [root]
+            while stack:
+                x = stack.pop()
+                if not (comp >> x) & 1:
+                    comp |= 1 << x
+                    stack += p.cover_succ[x] + p.cover_pred[x]
+            seen |= comp
+            out.append(comp)
+    return out
+
+
+def seeded_posets(seed: int):
+    """Random posets, most of them disconnected, each also with a top added
+    and with a bottom added, relabelled so that ids do not follow the order."""
+    rng = random.Random(seed)
+    for _, p in random_posets(seed=seed, count=150, max_n=12):
+        n = p.n
+        yield p
+        yield relabel(Poset(n + 1, list(p.covers) + [(x, n) for x in range(n)]), rng)
+        yield relabel(Poset(n + 1, list(p.covers) + [(n, x) for x in range(n)]), rng)
+
+
+class TestExtremalWalks:
+    # the descent walks against the definition, on random masks and on the
+    # masks the enumerator oracle's least_majorizer asks about
+    def test_least_and_greatest_match_the_definition(self):
+        rng = random.Random(47)
+        checked = 0
+        for p in seeded_posets(seed=43):
+            masks = [0, p.full_mask]
+            for _ in range(8):
+                r = rng.getrandbits(p.n)
+                x, y = rng.randrange(p.n), rng.randrange(p.n)
+                masks += [r, p.up_incl[x] & r, p.down_incl[x] & r, p.interval(x, y)]
+            for s in masks:
+                assert p.least_element_of(s) == scan_least(p, s)
+                assert p.greatest_element_of(s) == scan_greatest(p, s)
+                checked += scan_least(p, s) is not None
+        assert checked > 1000
+
+    def test_the_empty_poset_has_no_extremes(self):
+        p = Poset(0, [])
+        assert p.least_element() is None and p.greatest_element() is None
+
+    def test_components_match_the_cover_search(self):
+        for p in seeded_posets(seed=53):
+            assert p.connected_components() == cover_bfs_components(p)
+        assert Poset(0, []).connected_components() == []
+        assert Poset(1, []).connected_components() == [1]
 
 
 class TestStructure:
