@@ -30,7 +30,7 @@ from .bitset import bits, mask_of
 from .closures import (DEFAULT_BRUTE_CAP, DEFAULT_ENUM_CAP,
                        bruteforce_search_space, enumerate_closure_systems)
 from .counting import bruteforce_candidates, count_closures, digits, explain
-from .errors import ClosureCountError, TooLargeError
+from .errors import ClosureCountError, TooLargeError, excerpt
 from .fileio import build_poset, read_poset_file
 from .generators import family
 from .isolated import find_max_bottleneck_isos, find_max_summit_isos
@@ -61,10 +61,11 @@ def _required_mask(text: str, p: Poset) -> int:
     try:
         ids = [int(x) for x in text.split(",") if x.strip() != ""]
     except ValueError:
-        raise ValueError(f"--required wants comma-separated ids, got {text!r}") from None
+        raise ValueError(f"--required wants comma-separated ids,"
+                         f" got {excerpt(text)}") from None
     for i in ids:
         if not 0 <= i < p.n:
-            raise ValueError(f"required element {i} out of range for n={p.n}")
+            raise ValueError(f"required element {excerpt(i)} out of range for n={p.n}")
     return mask_of(ids)
 
 

@@ -26,7 +26,9 @@ preferring structure over enumeration, in this order:
      one S' per node, so bottleneck siblings still split one per level;
   5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
      DP over a reverse linear extension), refused once it has visited more
-     than `cap` states (cap=None lifts the budget).
+     than `cap` states (cap=None lifts the budget); a leaf isomorphic to
+     one already counted in this count, t onto t, reuses its value, from a
+     per-call cache keyed by the leaf's order relabelled structurally.
 
 Every path is validated against enumerate_closure_systems in the test
 suite; neither the decomposition nor the leaf counter is trusted on its
@@ -109,10 +111,12 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
         raise ValueError(f"state budget must be nonnegative, got {cap}")
     origin = tuple(1 << x for x in range(p.n))
     comps = p.connected_components()
+    leaves = {}  # the "brute" leaves of this count, see _count
     if len(comps) == 1:
-        trace = _count(p, p.full_mask, t, origin, cap)
+        trace = _count(p, p.full_mask, t, origin, cap, leaves)
     else:  # every system contains every maximal element
-        trace = _product("components", p, comps, t & ~p.maximal_mask, origin, cap)
+        trace = _product("components", p, comps, t & ~p.maximal_mask, origin, cap,
+                         leaves)
     return CountResult(trace.value, trace)
 
 
@@ -126,12 +130,39 @@ def _mapped(idmap: tuple, t: ElementSet, origin: tuple) -> tuple:
             tuple(origin[x] for x in idmap))
 
 
+def _structure(p: Poset, t: ElementSet) -> tuple:
+    """n, p's covers and t relabelled in a structural order: by height,
+    then the sorted new labels of the lower covers, up-degree and membership
+    in t, ties broken by id (one pass of colour refinement). The labels are
+    a bijection, so equal values are an isomorphism that maps t onto t."""
+    pred = p.cover_pred
+    height = [0] * p.n
+    for x in p.topo:
+        if pred[x]:
+            height[x] = max(map(height.__getitem__, pred[x])) + 1
+    label = {}
+    for h in range(max(height) + 1):
+        level = [x for x in range(p.n) if height[x] == h]  # ties stay in id order
+        level.sort(key=lambda x: (sorted(map(label.__getitem__, pred[x])),
+                                  len(p.cover_succ[x]), (t >> x) & 1))
+        label.update(zip(level, range(len(label), p.n)))
+    return (p.n, frozenset([(label[u], label[v]) for u, v in p.covers]),
+            mask_of(map(label.__getitem__, bits(t))))
+
+
 def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
-           cap: Optional[int]) -> DecompositionTrace:
+           cap: Optional[int], leaves: dict) -> DecompositionTrace:
     """Count the connected suborder of p on the mask s, t within s; t and
     origin are in p's ids. A shape is read off p's masks; only a part
     that has none becomes a Poset of its own, for detection and the leaf.
-    Every sub-problem below is connected too."""
+    Every sub-problem below is connected too.
+
+    leaves files this count's "brute" nodes under the gate (n, number of
+    covers, |t|) as ({_structure: node}, [the first (p, t, node), until a
+    second part of its gate keys it]). A part isomorphic to a leaf, t onto
+    t, has its value and search space and no usable suborder either, as
+    maximal isolated suborders are structural: it reuses the node with its
+    own t_original and visits no states, so `cap` bounds counted leaves."""
     # every system contains every element maximal in s
     t &= ~mask_of(x for x in bits(t) if not p.reach[x] & s)
     t_orig = _originals(origin, t)
@@ -142,6 +173,14 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     if s != p.full_mask:
         p, idmap = p.restrict(s)
         t, origin = _mapped(idmap, t, origin)
+    gate, key = (p.n, len(p.covers), size(t)), None
+    if gate in leaves:
+        keyed, unkeyed = leaves[gate]
+        keyed.update((_structure(q, u), node) for q, u, node in unkeyed)
+        unkeyed.clear()
+        key = _structure(p, t)
+        if key in keyed:
+            return keyed[key]._replace(t_original=t_orig)
 
     for finder in (find_max_summit_isos, find_max_bottleneck_isos):
         isos = tuple(iso for iso in finder(p) if not iso.members & t)
@@ -157,17 +196,17 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
         for iso in isos:
             classes[iso.bottom] = _originals(origin, iso.members)
             iso_orig |= classes[iso.bottom]
-        insides = tuple(_count_inside(p, iso, origin, cap) for iso in isos)
+        insides = tuple(_count_inside(p, iso, origin, cap, leaves) for iso in isos)
         if kind is IsoKind.SUMMIT:
-            quot = _count(p, q, t, tuple(classes), cap)
+            quot = _count(p, q, t, tuple(classes), cap, leaves)
             value = quot.value * prod(c.value for c in insides)
             children = (quot,) + insides
         else:  # both children count the quotient: restrict it once
             q, idmap = p.restrict(q)
             q_t, q_origin = _mapped(idmap, t, classes)
             meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
-                             q_origin, cap)
-            avoiding = _count(q, q.full_mask, q_t, q_origin, cap)
+                             q_origin, cap, leaves)
+            avoiding = _count(q, q.full_mask, q_t, q_origin, cap, leaves)
             value = meeting.value * 2 * (insides[0].value - 1) + avoiding.value
             children = (meeting,) + insides + (avoiding,)
         return DecompositionTrace(kind.value, value, p.n, children, isos=isos,
@@ -175,23 +214,28 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
 
     space = bruteforce_search_space(p, t)
     value = count_closure_systems_bruteforce(p, t, cap=cap)
-    return DecompositionTrace("brute", value, p.n,
+    node = DecompositionTrace("brute", value, p.n,
                               t_original=t_orig, search_space=space)
+    if key is None:  # the first leaf of its gate
+        leaves[gate] = ({}, [(p, t, node)])
+    else:
+        keyed[key] = node
+    return node
 
 
 def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
-             cap: Optional[int]) -> DecompositionTrace:
+             cap: Optional[int], leaves: dict) -> DecompositionTrace:
     """Product of the counts of p's suborders on each part, t restricted
     with it. The parts are the components of p, whose systems combine
     independently, or the intervals between cut points (_count_inside)."""
-    children = [_count(p, part, t & part, origin, cap) for part in parts]
+    children = [_count(p, part, t & part, origin, cap, leaves) for part in parts]
     return DecompositionTrace(kind, prod(c.value for c in children),
                               size(reduce(or_, parts)), children=tuple(children),
                               t_original=_originals(origin, t))
 
 
 def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
-                  cap: Optional[int]) -> DecompositionTrace:
+                  cap: Optional[int], leaves: dict) -> DecompositionTrace:
     """_count(P|S, 0) for S = iso.members: the product over the intervals
     between consecutive cut points iso.cuts, bottom = c_0 < ... < c_r = top.
 
@@ -202,7 +246,7 @@ def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
     suborder in the part holds it and nothing there is constrained.
     """
     parts = [p.interval(v, w) for v, w in zip(iso.cuts, iso.cuts[1:])]
-    node = _product("cuts", p, parts, 0, origin, cap)
+    node = _product("cuts", p, parts, 0, origin, cap, leaves)
     return node.children[0] if len(parts) == 1 else node
 
 

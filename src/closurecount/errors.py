@@ -1,6 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the quoting of input
+in their messages."""
 
 from __future__ import annotations
+
+
+def excerpt(value, limit: int = 32) -> str:
+    """repr of value (a str quoted, an int in decimal), cut down to its two
+    ends once it is longer than `limit` characters, so that a message
+    quoting outside input stays one short line."""
+    try:
+        text = repr(value)
+    except ValueError:  # an int past the int/str digit limit
+        from decimal import Decimal
+        text = str(Decimal(value))
+    if len(text) <= limit:
+        return text
+    end = limit // 2
+    return f"{text[:end]}...{text[-end:]} ({len(text)} characters)"
 
 
 class ClosureCountError(Exception):
@@ -13,7 +29,7 @@ class CycleError(ClosureCountError):
     def __init__(self, cycle):
         self.cycle = list(cycle)
         path = " -> ".join(str(x) for x in self.cycle)
-        super().__init__(f"input relation contains a cycle: {path}")
+        super().__init__(f"input relation contains a cycle: {excerpt(path)}")
 
 
 class ParseError(ClosureCountError):

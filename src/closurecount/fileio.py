@@ -19,7 +19,7 @@ import json
 import sys
 from typing import NamedTuple, Optional
 
-from .errors import ParseError
+from .errors import ParseError, excerpt
 from .poset import MAX_EDGES, MAX_ELEMENTS, Poset
 
 
@@ -58,21 +58,24 @@ def _parse_edge_text(text: str) -> PosetFileData:
             try:
                 n = int(count)
             except ValueError:
-                raise ParseError(f"element count is not an integer: {count!r}", lineno) from None
+                raise ParseError(f"element count is not an integer: {excerpt(count)}",
+                                 lineno) from None
             if n < 0:
-                raise ParseError(f"element count must be nonnegative, got {n}", lineno)
+                raise ParseError(f"element count must be nonnegative, got {excerpt(n)}",
+                                 lineno)
             if n > MAX_ELEMENTS:
                 raise ParseError(f"element count {n} is above the limit of {MAX_ELEMENTS}",
                                  lineno)
             continue
         if len(fields) != 2:
-            raise ParseError(f"expected 'u v', got {line!r}", lineno)
+            raise ParseError(f"expected 'u v', got {excerpt(line)}", lineno)
         try:
             u, v = int(fields[0]), int(fields[1])
         except ValueError:
-            raise ParseError(f"edge endpoints are not integers: {line!r}", lineno) from None
+            raise ParseError(f"edge endpoints are not integers: {excerpt(line)}",
+                             lineno) from None
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u}, {v}) out of range for n={n}", lineno)
+            raise ParseError(_out_of_range(u, v, n), lineno)
         if len(edges) == MAX_EDGES:
             raise ParseError(f"more than {MAX_EDGES} edges", lineno)
         edges.append((u, v))
@@ -96,9 +99,9 @@ def _parse_json(text: str) -> PosetFileData:
         raise ParseError('"n" must be an integer')
     n = obj["n"]
     if n < 0:
-        raise ParseError(f'"n" must be nonnegative, got {n}')
+        raise ParseError(f'"n" must be nonnegative, got {excerpt(n)}')
     if n > MAX_ELEMENTS:
-        raise ParseError(f'"n" = {n} is above the limit of {MAX_ELEMENTS}')
+        raise ParseError(f'"n" = {excerpt(n)} is above the limit of {MAX_ELEMENTS}')
     raw_edges = obj.get("edges", [])
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be an array of [u, v] pairs')
@@ -108,10 +111,10 @@ def _parse_json(text: str) -> PosetFileData:
     for i, pair in enumerate(raw_edges):
         if (not isinstance(pair, list) or len(pair) != 2
                 or not all(isinstance(x, int) and not isinstance(x, bool) for x in pair)):
-            raise ParseError(f'edge #{i} is not a pair of integers: {pair!r}')
+            raise ParseError(f'edge #{i} is not a pair of integers: {excerpt(pair)}')
         u, v = pair
         if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u}, {v}) out of range for n={n}")
+            raise ParseError(_out_of_range(u, v, n))
         edges.append((u, v))
     labels = obj.get("labels")
     if labels is not None:
@@ -119,6 +122,10 @@ def _parse_json(text: str) -> PosetFileData:
                 or not all(isinstance(x, str) for x in labels)):
             raise ParseError(f'"labels" must be an array of {n} strings')
     return PosetFileData(n, edges, labels, "json")
+
+
+def _out_of_range(u: int, v: int, n: int) -> str:
+    return f"edge ({excerpt(u)}, {excerpt(v)}) out of range for n={n}"
 
 
 def read_poset_file(path: str) -> PosetFileData:

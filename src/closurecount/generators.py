@@ -17,7 +17,7 @@ import random
 from functools import reduce
 
 from .bitset import bits, mask_of
-from .errors import TooLargeError
+from .errors import TooLargeError, excerpt
 from .poset import MAX_EDGES, MAX_ELEMENTS, Poset, check_size
 
 # Most edge draws random_connected_poset makes; every n <= 12 stays far below
@@ -58,7 +58,8 @@ def powerset_lattice(k: int) -> Poset:
     if k < 0:
         raise ValueError("powerset exponent must be nonnegative")
     if k >= MAX_ELEMENTS.bit_length():
-        raise ValueError(f"2^{k} subsets is above the element limit of {MAX_ELEMENTS}")
+        raise ValueError(f"2^{excerpt(k)} subsets is above the element limit"
+                         f" of {MAX_ELEMENTS}")
     n = 1 << k
     edges = [(s, s | (1 << i)) for s in range(n) for i in range(k) if not (s >> i) & 1]
     return Poset(n, edges)
@@ -111,6 +112,13 @@ def random_submask(rng: random.Random, universe: int, max_size: int) -> int:
     return mask_of(rng.sample(pool, k))
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{excerpt(text)} is not an integer") from None
+
+
 def family(spec: str) -> Poset:
     """Parse a generator spec like 'chain:7' or 'stacked:3:diamond:2'.
 
@@ -130,20 +138,20 @@ def family(spec: str) -> Poset:
     try:
         levels = []  # stacked:K: prefixes, peeled in a loop however deep they nest
         while parts[0] == "stacked" and len(parts) >= 3:
-            levels.append(int(parts[1]))
+            levels.append(_int(parts[1]))
             parts = parts[2:]
         name = parts[0]
         if name in makers:
             if len(parts) != 2:
                 raise ValueError(f"expected {name}:N")
-            p = makers[name](int(parts[1]))
+            p = makers[name](_int(parts[1]))
         elif name == "random":
             if len(parts) not in (2, 3):
                 raise ValueError("expected random:N or random:N:SEED")
-            seed = int(parts[2]) if len(parts) == 3 else 0
-            p = random_connected_poset(random.Random(seed), int(parts[1]))
+            seed = _int(parts[2]) if len(parts) == 3 else 0
+            p = random_connected_poset(random.Random(seed), _int(parts[1]))
         else:
-            raise ValueError(f"unknown generator family {name!r}")
+            raise ValueError(f"unknown generator family {excerpt(name)}")
         return reduce(stacked, reversed(levels), p)
     except ValueError as exc:
-        raise ValueError(f"bad generator spec {spec!r}: {exc}") from None
+        raise ValueError(f"bad generator spec {excerpt(spec)}: {exc}") from None

@@ -14,7 +14,7 @@ from enum import Enum
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .bitset import ElementSet, bits, mask_of, size
-from .errors import CycleError, EmptySetError
+from .errors import CycleError, EmptySetError, excerpt
 
 
 # Largest element count accepted: reach, up_incl, down and down_incl each
@@ -33,9 +33,9 @@ MAX_EDGES = 1 << 18
 def check_size(n: int) -> int:
     """Return n, or raise ValueError if it is negative or above MAX_ELEMENTS."""
     if n < 0:
-        raise ValueError(f"element count must be nonnegative, got {n}")
+        raise ValueError(f"element count must be nonnegative, got {excerpt(n)}")
     if n > MAX_ELEMENTS:
-        raise ValueError(f"element count {n} is above the limit of {MAX_ELEMENTS}")
+        raise ValueError(f"element count {excerpt(n)} is above the limit of {MAX_ELEMENTS}")
     return n
 
 
@@ -111,7 +111,7 @@ class Poset:
             if count > MAX_EDGES:
                 raise ValueError(f"more than {MAX_EDGES} relation pairs")
             if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+                raise ValueError(f"edge ({excerpt(u)}, {excerpt(v)}) out of range for n={n}")
             if u == v:
                 continue  # reflexive pair, carries no information
             succ_in[u].add(v)

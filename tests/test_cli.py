@@ -298,7 +298,8 @@ class TestBench:
         report = tmp_path / "report.csv"
         rc, out, _ = run(capsys, "bench", str(poset_file), "--csv", str(report))
         assert (rc, out) == (0, "")
-        rows = list(csv.DictReader(report.open()))
+        with report.open() as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 1 and rows[0]["count"] == "7"
         assert list(rows[0].keys()) == [
             "name", "size", "brute_seconds", "decomp_seconds",
@@ -307,6 +308,51 @@ class TestBench:
     def test_no_inputs_is_exit_2(self, capsys):
         rc, _, err = run(capsys, "bench")
         assert rc == 2 and "nothing to benchmark" in err
+
+
+NINES, MORE_NINES = "9" * 4000, "9" * 5000  # the second past the int/str digit limit
+
+
+class TestLongInputIsQuotedShort:
+    # every message that quotes outside input cuts the quote down to its
+    # two ends, so a long number or line is refused in one short line
+    @pytest.mark.parametrize("option,text", [
+        pytest.param("file", '{"n": %s, "edges": []}' % NINES, id="json n"),
+        pytest.param("file", '{"n": -%s, "edges": []}' % NINES, id="json negative n"),
+        pytest.param("file", '{"n": 3, "edges": [[0, %s]]}' % NINES, id="json endpoint"),
+        pytest.param("file", '{"n": 3, "edges": [[0, "%s"]]}' % NINES, id="json string endpoint"),
+        pytest.param("file", '{"n": 3, "edges": [[%s]]}' % ", ".join(["1"] * 2000),
+                     id="json long edge"),
+        pytest.param("file", "3\n0 %s\n" % NINES, id="text endpoint"),
+        pytest.param("file", "3\n0 %s\n" % MORE_NINES, id="text endpoint past the digit limit"),
+        pytest.param("file", "3\n0 1 %s\n" % " ".join(["2"] * 2000), id="text long line"),
+        pytest.param("file", "x%s\n" % NINES, id="text count"),
+        pytest.param("file", "-%s\n" % NINES, id="text negative count"),
+        pytest.param("file", "3000\n" + "".join("%d %d\n" % (i, (i + 1) % 3000)
+                                                for i in range(3000)), id="text long cycle"),
+        pytest.param("--required", "1," + NINES, id="required id"),
+        pytest.param("--required", MORE_NINES, id="required id past the digit limit"),
+        pytest.param("--gen", "chain:" + NINES, id="gen size"),
+        pytest.param("--gen", "chain:-" + NINES, id="gen negative size"),
+        pytest.param("--gen", "chain:x" + NINES, id="gen non-integer size"),
+        pytest.param("--gen", "powerset:" + NINES, id="gen powerset exponent"),
+        pytest.param("--gen", "stacked:" + "9" * 4300 + ":powerset:3",
+                     id="gen size past the digit limit"),
+        pytest.param("--gen", "x" * 4000 + ":3", id="gen family"),
+        pytest.param("--gen", "random:3:" + MORE_NINES, id="gen seed"),
+    ])
+    def test_one_short_line(self, capsys, tmp_path, option, text):
+        if option == "file":
+            path = tmp_path / "input"
+            path.write_text(text)
+            argv = ["count", str(path)]
+        elif option == "--required":
+            argv = ["count", "--gen", "chain:3", "--required", text]
+        else:
+            argv = ["count", "--gen", text]
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
 
 
 class TestRandomSpecBudget:

@@ -12,6 +12,7 @@ import random
 import sys
 import time
 from decimal import Decimal
+from itertools import permutations
 from math import prod
 
 import pytest
@@ -24,7 +25,8 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, mask_of, quotient_by, trace_nodes)
 from closurecount.bitset import size
-from closurecount.counting import _count, bruteforce_candidates, digits
+from closurecount import counting
+from closurecount.counting import _count, _structure, bruteforce_candidates, digits
 from closurecount.errors import EmptyPosetError
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
                                      random_connected_poset, random_submask, stacked)
@@ -170,7 +172,7 @@ class TestDispatch:
         # shape, so it is restricted first
         p = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
         origin = tuple(1 << x for x in range(p.n))
-        node = _count(p, part, mask_of([0, 4]), origin, None)
+        node = _count(p, part, mask_of([0, 4]), origin, None, {})
         assert node.kind == ("special" if size(part) == 3 else "brute")
         assert node.t_original == mask_of([0]) and node.n == size(part)
         sub, idmap = p.restrict(part)
@@ -302,29 +304,138 @@ class TestMetamorphic:
         assert count_closure_systems_bruteforce(union, t) == want
 
 
+def leafy_tower(rng: random.Random) -> tuple:
+    """A relabelled tower of 3 to 5 copies of a random base with a bottom
+    and a top that is itself a leaf (no shape, no usable suborder), and a
+    constraint of at most 3 elements of the lowest copy below its top, so
+    that the copies above it are isomorphic leaves."""
+    while True:
+        m = rng.randint(2, 5)
+        inner = [(u + 1, v + 1) for u, v in random_poset(rng, m).covers]
+        base = Poset(m + 2, inner + [(0, x) for x in range(1, m + 1)]
+                     + [(x, m + 1) for x in range(1, m + 1)])
+        if count_closures(base).trace.kind == "brute":
+            break
+    tower = stacked(base, rng.randint(3, 5))
+    t = random_submask(rng, base.full_mask >> 1, 3)
+    perm = rng.sample(range(tower.n), tower.n)
+    return (Poset(tower.n, [(perm[u], perm[v]) for u, v in tower.covers]),
+            mask_of(perm[x] for x in bits(t)))
+
+
+def leaf_dp_calls(monkeypatch) -> list:
+    """Element counts of the leaves the frontier DP counts from now on."""
+    calls = []
+    dp = counting.count_closure_systems_bruteforce
+    monkeypatch.setattr(counting, "count_closure_systems_bruteforce",
+                        lambda p, *args, **kwargs: calls.append(p.n) or dp(p, *args, **kwargs))
+    return calls
+
+
 class TestAgainstTheWholePosetDP:
     # Above the enumerator's reach: the whole-poset DP runs no detector,
     # quotient or formula, and the decomposition runs the same leaf kernel
     # only on other, smaller posets, so the two routes share little but
-    # Poset. Most of these instances split at a summit or a bottleneck.
+    # Poset. Most of these instances split at a summit or a bottleneck;
+    # the towers reuse the count of a leaf for the copies isomorphic to it.
     @seed(1307)
-    @settings(max_examples=150, deadline=None)
-    @given(st.sampled_from(["connected", "glued", "broom"]), st.integers(0, 2 ** 32))
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["connected", "glued", "broom", "tower"]), st.integers(0, 2 ** 32))
     def test_decomposition_agrees_with_the_whole_poset_dp(self, source, rng_seed):
         rng = random.Random(rng_seed)
-        if source == "connected":
-            p = random_connected_poset(rng, rng.randint(13, 40))
-        elif source == "glued":
-            p = glued_poset(rng, rng.randint(13, 40))[0]
+        if source == "tower":
+            p, t = leafy_tower(rng)
         else:
-            p = relabel(broom(rng.randint(3, 7), reverse=rng.random() < 0.5), rng)
-        t = random_submask(rng, p.full_mask, 3)
+            if source == "connected":
+                p = random_connected_poset(rng, rng.randint(13, 40))
+            elif source == "glued":
+                p = glued_poset(rng, rng.randint(13, 40))[0]
+            else:
+                p = relabel(broom(rng.randint(3, 7), reverse=rng.random() < 0.5), rng)
+            t = random_submask(rng, p.full_mask, 3)
         try:
             want = count_closure_systems_bruteforce(p, t, cap=1 << 18)
             got = count_closures(p, t, cap=1 << 18).value
         except TooLargeError:
             return
         assert got == want
+
+
+    def test_towers_count_each_leaf_class_once(self, monkeypatch):
+        calls = leaf_dp_calls(monkeypatch)
+        reused = 0
+        for i in range(40):
+            p, t = leafy_tower(random.Random(i))
+            del calls[:]
+            trace = count_closures(p, t, cap=1 << 18).trace
+            leaves = sum(node.kind == "brute" for node in trace_nodes(trace))
+            assert len(calls) <= leaves
+            reused += len(calls) < leaves
+            assert trace.value == count_closure_systems_bruteforce(p, t, cap=1 << 18)
+        assert reused >= 30
+
+    @pytest.mark.parametrize("levels,want", [
+        (5, 13_513_540_816), (12, 5_436_106_699_361_456_452_241_408)])
+    @pytest.mark.parametrize("rng_seed", [1, 2, 3])
+    def test_cube_towers_call_the_leaf_dp_once(self, monkeypatch, levels, want, rng_seed):
+        # the values are the whole-poset DP's; every level is an 8-element
+        # cube with 61 closure systems, a leaf, and only the first is counted
+        p = relabel(family(f"stacked:{levels}:powerset:3"), random.Random(rng_seed))
+        calls = leaf_dp_calls(monkeypatch)
+        trace = count_closures(p).trace
+        assert trace.value == want
+        assert calls == [8]
+        leaves = [node for node in trace_nodes(trace) if node.kind == "brute"]
+        assert [(node.value, node.search_space) for node in leaves] == [(61, 128)] * levels
+
+
+def isomorphic_onto(p: Poset, t: int, q: Poset, u: int) -> bool:
+    """Does some bijection map p's covers onto q's and t onto u? By a
+    search over all permutations, for small posets."""
+    if (p.n, len(p.covers), size(t)) != (q.n, len(q.covers), size(u)):
+        return False
+    return any(mask_of(perm[x] for x in bits(t)) == u
+               and {(perm[a], perm[b]) for a, b in p.covers} == q.covers
+               for perm in permutations(range(p.n)))
+
+
+class TestLeafKey:
+    # _structure(p, t) files a leaf's count within one count_closures call:
+    # equal keys must be an isomorphism of the two posets that maps t onto t
+    def test_equal_keys_are_isomorphisms_onto_t(self):
+        rng = random.Random(4099)
+        groups = {}
+        for _ in range(200):
+            p = random_poset(rng, rng.randint(1, 7))
+            t = random_submask(rng, p.full_mask, 3)
+            perm = rng.sample(range(p.n), p.n)
+            copy = Poset(p.n, [(perm[u], perm[v]) for u, v in p.covers])
+            image = mask_of(perm[x] for x in bits(t))
+            moved = random_submask(rng, p.full_mask, 3)
+            for q, u in ((p, t), (copy, image), (copy, moved)):
+                groups.setdefault(_structure(q, u), []).append((q, u))
+        shared = [members for members in groups.values() if len(members) > 1]
+        assert len(shared) >= 50  # the check below is not vacuous
+        for (p, t), *others in shared:
+            for q, u in others:
+                assert isomorphic_onto(p, t, q, u)
+
+    @pytest.mark.parametrize("first,second", [
+        # t on a minimal element, or on the one above it
+        ((Poset(4, [(0, 1), (1, 2), (1, 3)]), 0b1), (Poset(4, [(0, 1), (1, 2), (1, 3)]), 0b10)),
+        # two elements under one, or two over one
+        ((Poset(3, [(0, 2), (1, 2)]), 0), (Poset(3, [(0, 1), (0, 2)]), 0)),
+        # a crown and a fork with the same heights and up-degrees
+        ((Poset(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)]), 0),
+         (Poset(6, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 5), (2, 3)]), 0)),
+        # an N and a chain with a pendant, t on the lowest of each
+        ((Poset(4, [(0, 2), (1, 2), (1, 3)]), 0b10), (Poset(4, [(0, 1), (1, 2), (0, 3)]), 0b1)),
+    ])
+    def test_near_misses_get_different_keys(self, first, second):
+        (p, t), (q, u) = first, second
+        assert (p.n, len(p.covers), size(t)) == (q.n, len(q.covers), size(u))
+        assert not isomorphic_onto(p, t, q, u)
+        assert _structure(p, t) != _structure(q, u)
 
 
 class TestLimitsAndErrors:

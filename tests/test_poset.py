@@ -42,6 +42,9 @@ class TestConstruction:
     def test_out_of_range_edge(self):
         with pytest.raises(ValueError):
             Poset(2, [(0, 2)])
+        with pytest.raises(ValueError) as exc:
+            Poset(2, [(0, 10 ** 4000)])
+        assert len(str(exc.value)) < 100
 
     def test_labels_length_checked(self):
         with pytest.raises(ValueError):
