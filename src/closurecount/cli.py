@@ -14,12 +14,19 @@ past its --cap state budget without --force, the enumerator above its element
 cap, a random:N spec not connected within the sampler's draw budget, or a
 decomposition nested deeper than the interpreter's recursion limit (summit
 siblings collapse at once, bottleneck siblings still split one per level).
+A refusal by the argument parser itself (an unknown subcommand or option, a
+non-integer --cap) also exits 2, its message cut short like any quote of
+outside input.
+
+main builds the argument parser on its first call and reuses it for the
+rest of the process; parsing leaves the parser as it was.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -30,7 +37,7 @@ from .bitset import bits, mask_of
 from .closures import (DEFAULT_BRUTE_CAP, DEFAULT_ENUM_CAP,
                        bruteforce_search_space, enumerate_closure_systems)
 from .counting import bruteforce_candidates, count_closures, digits, explain
-from .errors import ClosureCountError, TooLargeError, excerpt
+from .errors import ClosureCountError, TooLargeError, excerpt, shorten
 from .fileio import build_poset, read_poset_file
 from .generators import family
 from .isolated import find_max_bottleneck_isos, find_max_summit_isos
@@ -183,8 +190,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
     return 0 if all_agree else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose refusal quotes the command line cut down to
+    its two ends, as errors.excerpt quotes a value; its subparsers are built
+    from this class too."""
+
+    def error(self, message):
+        super().error(shorten(message, 128))
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="closurecount",
         description="Count closure operators on finite ordered sets.")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,6 +13,12 @@ def excerpt(value, limit: int = 32) -> str:
     except ValueError:  # an int past the int/str digit limit
         from decimal import Decimal
         text = str(Decimal(value))
+    return shorten(text, limit)
+
+
+def shorten(text: str, limit: int) -> str:
+    """text itself, or once it is longer than `limit` characters its two
+    ends with its length appended."""
     if len(text) <= limit:
         return text
     end = limit // 2

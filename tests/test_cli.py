@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import io
 import json
@@ -353,6 +354,86 @@ class TestLongInputIsQuotedShort:
         rc, out, err = run(capsys, *argv)
         assert (rc, out) == (2, "")
         assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 200
+
+
+def refused_by_argparse(capsys, *argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+class TestArgparseRefusalsAreShort:
+    # argparse quotes the offending argument in its refusal; the parser
+    # cuts that message down as errors.excerpt cuts a value
+    @pytest.mark.parametrize("argv", [
+        pytest.param(("count", "--gen", "chain:3", "--cap", MORE_NINES), id="count cap"),
+        pytest.param(("bench", "--cap", MORE_NINES), id="bench cap"),
+        pytest.param(("selfcheck", "--instances", MORE_NINES), id="selfcheck instances"),
+        pytest.param(("selfcheck", "--max-size", MORE_NINES), id="selfcheck max size"),
+        pytest.param(("selfcheck", "--seed", MORE_NINES), id="selfcheck seed"),
+        pytest.param(("bogus" + MORE_NINES,), id="unknown subcommand"),
+        pytest.param(("count", "--" + MORE_NINES), id="unknown option"),
+        pytest.param(("count", "a") + ("b",) * 2000, id="unrecognized arguments"),
+    ])
+    def test_short_usage_error(self, capsys, argv):
+        code, out, err = refused_by_argparse(capsys, *argv)
+        assert (code, out) == (2, "")
+        last = err.splitlines()[-1]
+        assert ": error: " in last and len(last) < 200 and len(err) < 600
+
+
+class TestParserReuse:
+    # main builds its parser once per process; parsing must not carry
+    # anything from one call into the next
+    def test_calls_in_sequence_keep_their_own_output(self, capsys, tmp_path):
+        code, out, err = refused_by_argparse(capsys, "count", "--cap")
+        assert (code, out) == (2, "")
+        assert err.endswith("error: argument --cap: expected one argument\n")
+
+        assert run(capsys, "count", "--gen", "chain:3", "--required", "1", "--pretty",
+                   "--force", "--trace") == (0, "2\n", "chain n=3 -> 2 [|T|=1]\n")
+
+        # no --required, --pretty or --trace left over from the last call
+        assert run(capsys, "count", "--gen", "chain:3") == (0, "4\n", "")
+
+        rc, out, _ = run(capsys, "decompose", "--gen", "stacked:2", "--json")
+        assert rc == 0 and json.loads(out) == {
+            "summit": [{"bottom": 3, "top": 7, "size": 5, "members": [3, 4, 5, 6, 7]}],
+            "bottleneck": [{"bottom": 0, "top": 3, "size": 4, "members": [0, 1, 2, 3]}]}
+
+        f = tmp_path / "d.txt"
+        f.write_text(DIAMOND_TEXT)
+        assert run(capsys, "validate", str(f)) == (
+            0, "OK: diamond width 2, 1 component\n", "")
+
+        helps = [refused_by_argparse(capsys, "--help") for _ in range(2)]
+        assert helps[0] == helps[1]
+        assert helps[0][0] == 0 and helps[0][1].startswith("usage: closurecount")
+
+    def test_later_calls_construct_no_parser(self, capsys, monkeypatch):
+        constructed = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            constructed.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        assert run(capsys, "count", "--gen", "chain:3")[0] == 0
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        run(capsys, "count", "--gen", "chain:3")
+        refused_by_argparse(capsys, "count", "--cap", "x")
+        run(capsys, "decompose", "--gen", "stacked:2")
+        refused_by_argparse(capsys, "--help")
+        refused_by_argparse(capsys, "count", "--help")
+        run(capsys, "count", "--gen", "chain:3", "--pretty")
+        assert constructed == []
+
+        # a fresh build is the top-level parser and one per subcommand
+        cli._build_parser.cache_clear()
+        run(capsys, "count", "--gen", "chain:3")
+        run(capsys, "count", "--gen", "chain:4")
+        assert len(constructed) == 6
 
 
 class TestRandomSpecBudget:
