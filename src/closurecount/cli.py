@@ -5,15 +5,15 @@ Subcommands:
   decompose  report maximal useful isolated suborders of both kinds
   validate   parse a poset file and describe what was read
   selfcheck  the counter vs the definitional enumerator on random instances
-  bench      time the counter against the definitional enumerator, CSV output
 
-Exit codes: 0 success, 1 a check or agreement failed, 2 bad input or usage
-(a negative --cap, an element count above poset.MAX_ELEMENTS or more relation
+Exit codes: 0 success, 1 a selfcheck mismatch, 2 bad input or usage (a
+negative --cap, an element count above poset.MAX_ELEMENTS or more relation
 pairs than poset.MAX_EDGES among them), 3 refused as too large: a leaf count
-past its --cap state budget without --force, the enumerator above its element
-cap, a random:N spec not connected within the sampler's draw budget, or a
-decomposition nested deeper than the interpreter's recursion limit (summit
-siblings collapse at once, bottleneck siblings still split one per level).
+past its --cap state budget without --force, a selfcheck --max-size above the
+enumerator's element cap, a random:N spec not connected within the sampler's
+draw budget, or a decomposition nested deeper than the interpreter's recursion
+limit (summit siblings collapse at once, bottleneck siblings still split one
+per level).
 A refusal by the argument parser itself (an unknown subcommand or option, a
 non-integer --cap) also exits 2, its message cut short like any quote of
 outside input.
@@ -25,18 +25,14 @@ rest of the process; parsing leaves the parser as it was.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import sys
-import time
 from typing import Optional
 
 from .bitset import bits, mask_of
-from .closures import (DEFAULT_BRUTE_CAP, DEFAULT_ENUM_CAP,
-                       bruteforce_search_space, enumerate_closure_systems)
-from .counting import bruteforce_candidates, count_closures, digits, explain
+from .closures import DEFAULT_BRUTE_CAP
+from .counting import count_closures, digits, explain
 from .errors import ClosureCountError, TooLargeError, excerpt, shorten
 from .fileio import build_poset, read_poset_file
 from .generators import family
@@ -151,52 +147,20 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    specs = [("family", s) for s in args.family or []]
-    specs += [("file", f) for f in args.files]
-    if not specs:
-        raise ValueError("nothing to benchmark: pass --family SPEC or files")
-    cap = _cap(args)
-    rows = []
-    all_agree = True
-    for kind, name in specs:
-        p = family(name) if kind == "family" else build_poset(read_poset_file(name))
-        t0 = time.perf_counter()
-        enumerated = sum(1 for _ in enumerate_closure_systems(
-            p, cap=None if args.force else DEFAULT_ENUM_CAP))
-        enum_s = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        result = count_closures(p, cap=cap)
-        decomp_s = time.perf_counter() - t0
-        agree = enumerated == result.value
-        all_agree &= agree
-        rows.append({
-            "name": name, "size": p.n,
-            "brute_seconds": f"{enum_s:.6f}",
-            "decomp_seconds": f"{decomp_s:.6f}",
-            "count": result.value, "agree": agree,
-            "brute_checks": bruteforce_search_space(p),
-            "decomp_checks": bruteforce_candidates(result.trace),
-        })
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    if args.csv:
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
-    return 0 if all_agree else 1
-
-
 class _Parser(argparse.ArgumentParser):
     """An ArgumentParser whose refusal quotes the command line cut down to
-    its two ends, as errors.excerpt quotes a value; its subparsers are built
-    from this class too."""
+    its two ends, as errors.excerpt quotes a value. Its subparsers are built
+    from this class too, and each refuses the arguments it does not know
+    itself, so the usage printed is the subcommand's, not the top level's."""
 
     def error(self, message):
         super().error(shorten(message, 128))
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
 
 
 @functools.cache
@@ -239,18 +203,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_self.add_argument("--seed", type=int, default=0)
     p_self.set_defaults(func=cmd_selfcheck)
 
-    p_bench = sub.add_parser("bench",
-                             help="time the counter vs the enumerator")
-    p_bench.add_argument("files", nargs="*", help="poset files to benchmark")
-    p_bench.add_argument("--family", action="append", metavar="SPEC",
-                         help="generated instance, repeatable")
-    p_bench.add_argument("--csv", metavar="PATH", help="write the report here")
-    p_bench.add_argument("--force", action="store_true",
-                         help="lift the enumerator's element cap and the "
-                              "leaf state budget")
-    p_bench.add_argument("--cap", type=int, default=DEFAULT_BRUTE_CAP,
-                         help="leaf state budget of the counter")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

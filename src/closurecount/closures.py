@@ -66,11 +66,12 @@ def is_preclosure_system(p: Poset, c: ElementSet) -> bool:
 
 def operator_from_system(p: Poset, c: ElementSet) -> ClosureOperator:
     """The closure operator whose fixpoints are c: x maps to its least
-    majorizer in c. Requires c to be a closure system."""
+    majorizer in c. Raises ValueError if c is not a closure system."""
     image = []
     for x in range(p.n):
         m = least_majorizer(p, x, c)
-        assert m is not None, "not a closure system"
+        if m is None:
+            raise ValueError(f"not a closure system: {x} has no least majorizer in it")
         image.append(m)
     return ClosureOperator(p, tuple(image))
 

@@ -137,5 +137,5 @@ def read_poset_file(path: str) -> PosetFileData:
 
 
 def build_poset(data: PosetFileData) -> Poset:
-    return Poset(data.n, data.edges, data.labels)
+    return Poset(data.n, data.edges)
 

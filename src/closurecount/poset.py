@@ -90,7 +90,6 @@ class Poset:
     Attributes (treat all as read-only):
       n            element count
       covers       frozenset of cover pairs (u, v), u covered by v
-      labels       optional tuple of display labels, not part of equality
       topo         one fixed linear extension (lexicographically smallest)
       reach        reach[x]: bitmask of y with x < y
       up_incl      up_incl[x] = reach[x] | {x}
@@ -101,7 +100,7 @@ class Poset:
       full_mask, maximal_mask, minimal_mask   all, maximal, minimal elements
     """
 
-    def __init__(self, n: int, edges: Iterable[tuple], labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple]):
         self.n = check_size(n)
         self.full_mask = (1 << n) - 1
 
@@ -156,9 +155,6 @@ class Poset:
 
         self.maximal_mask = mask_of(x for x in range(n) if not reach[x])
         self.minimal_mask = mask_of(x for x in range(n) if not down[x])
-        self.labels = tuple(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != n:
-            raise ValueError(f"expected {n} labels, got {len(self.labels)}")
 
     def _toposort(self, succ_in, pred_in) -> tuple:
         n = self.n
@@ -284,8 +280,7 @@ class Poset:
                     elif reach[y] & s and not (seen >> y) & 1:
                         seen |= 1 << y
                         stack.append(y)
-        labels = tuple(self.labels[x] for x in idmap) if self.labels else None
-        return Poset(len(idmap), edges, labels), idmap
+        return Poset(len(idmap), edges), idmap
 
     def augment(self) -> "AugmentedPoset":
         """Hasse graph with an artificial bottom below every minimal element

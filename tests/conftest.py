@@ -63,18 +63,19 @@ def broom(k: int, reverse: bool = False) -> Poset:
 
 
 def to_edge_text(p: Poset) -> str:
-    """Edge-text serialization (cover edges only; labels have no syntax in
-    this format and are dropped): the writer the parser's round trips read."""
+    """Edge-text serialization (cover edges only): the writer the parser's
+    round trips read."""
     lines = [str(p.n)]
     lines += [f"{u} {v}" for u, v in sorted(p.covers)]
     return "\n".join(lines) + "\n"
 
 
-def to_structured(p: Poset) -> dict:
-    """Structured serialization as a plain dict, ready for json.dumps."""
+def to_structured(p: Poset, labels=None) -> dict:
+    """Structured serialization as a plain dict, ready for json.dumps; the
+    labels, if given, go in as the file's "labels" array."""
     out = {"n": p.n, "edges": [[u, v] for u, v in sorted(p.covers)]}
-    if p.labels is not None:
-        out["labels"] = list(p.labels)
+    if labels is not None:
+        out["labels"] = list(labels)
     return out
 
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
+import re
 import resource
 import subprocess
 import sys
@@ -270,45 +270,14 @@ class TestSelfcheck:
     ("count", "--gen", "chain:3", "--cap", "-5"),
     ("count", "--gen", "powerset:3", "--cap", "-5"),
     ("count", "--gen", "powerset:3", "--cap", "-5", "--force"),
-    ("bench", "--family", "chain:3", "--cap", "-1"),
-    # refused before --force lets the enumerator visit 2^31 subsets
-    ("bench", "--family", "stacked:8", "--force", "--cap", "-5"),
+    ("count", "--gen", "chain:3", "--cap", "-1"),
+    # refused before --force lets the leaf visit its 693,773 states
+    ("count", "--gen", "powerset:5", "--force", "--cap", "-5"),
 ])
 def test_negative_cap_is_an_input_error(capsys, argv):
     rc, out, err = run(capsys, *argv)
     assert rc == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: state budget")
-
-
-class TestBench:
-    def test_stdout_csv(self, capsys):
-        rc, out, _ = run(capsys, "bench", "--family", "chain:6",
-                         "--family", "powerset:2")
-        assert rc == 0
-        rows = list(csv.DictReader(io.StringIO(out)))
-        assert [r["name"] for r in rows] == ["chain:6", "powerset:2"]
-        assert [r["count"] for r in rows] == ["32", "7"]
-        assert all(r["agree"] == "True" for r in rows)
-        # the chain is pure formula work: no brute-force leaves at all
-        assert rows[0]["decomp_checks"] == "0"
-        assert int(rows[0]["brute_checks"]) == 2 ** 5
-
-    def test_csv_file_and_poset_file(self, capsys, tmp_path):
-        poset_file = tmp_path / "d.txt"
-        poset_file.write_text(DIAMOND_TEXT)
-        report = tmp_path / "report.csv"
-        rc, out, _ = run(capsys, "bench", str(poset_file), "--csv", str(report))
-        assert (rc, out) == (0, "")
-        with report.open() as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 1 and rows[0]["count"] == "7"
-        assert list(rows[0].keys()) == [
-            "name", "size", "brute_seconds", "decomp_seconds",
-            "count", "agree", "brute_checks", "decomp_checks"]
-
-    def test_no_inputs_is_exit_2(self, capsys):
-        rc, _, err = run(capsys, "bench")
-        assert rc == 2 and "nothing to benchmark" in err
 
 
 NINES, MORE_NINES = "9" * 4000, "9" * 5000  # the second past the int/str digit limit
@@ -368,7 +337,6 @@ class TestArgparseRefusalsAreShort:
     # cuts that message down as errors.excerpt cuts a value
     @pytest.mark.parametrize("argv", [
         pytest.param(("count", "--gen", "chain:3", "--cap", MORE_NINES), id="count cap"),
-        pytest.param(("bench", "--cap", MORE_NINES), id="bench cap"),
         pytest.param(("selfcheck", "--instances", MORE_NINES), id="selfcheck instances"),
         pytest.param(("selfcheck", "--max-size", MORE_NINES), id="selfcheck max size"),
         pytest.param(("selfcheck", "--seed", MORE_NINES), id="selfcheck seed"),
@@ -381,6 +349,33 @@ class TestArgparseRefusalsAreShort:
         assert (code, out) == (2, "")
         last = err.splitlines()[-1]
         assert ": error: " in last and len(last) < 200 and len(err) < 600
+
+
+class TestCommandSet:
+    def test_bench_is_not_a_subcommand(self, capsys):
+        code, out, err = refused_by_argparse(capsys, "bench", "--family", "chain:3")
+        assert (code, out) == (2, "")
+        # later Pythons drop the quotes around the choices
+        refusal, choices = err.splitlines()[-1].split(" (choose from ")
+        assert refusal == "closurecount: error: argument command: invalid choice: 'bench'"
+        assert re.findall(r"\w+", choices) == ["count", "decompose", "validate", "selfcheck"]
+
+    def test_help_lists_the_four_subcommands(self, capsys):
+        code, out, _ = refused_by_argparse(capsys, "--help")
+        assert code == 0 and "{count,decompose,validate,selfcheck}" in out
+        assert re.findall(r"^    (\w+) ", out, re.M) == [
+            "count", "decompose", "validate", "selfcheck"]
+
+    @pytest.mark.parametrize("argv,rest", [
+        (("count", "--gen", "chain:3", "a", "b"), "b"),
+        (("count", "--gen", "chain:3", "--bogus"), "--bogus"),
+    ], ids=["extra positional", "unknown option"])
+    def test_extra_arguments_are_refused_by_the_subcommand(self, capsys, argv, rest):
+        code, out, err = refused_by_argparse(capsys, *argv)
+        assert (code, out) == (2, "")
+        lines = err.splitlines()
+        assert lines[0].startswith("usage: closurecount count [-h] [--gen SPEC]")
+        assert lines[-1] == "closurecount count: error: unrecognized arguments: " + rest
 
 
 class TestParserReuse:
@@ -433,7 +428,7 @@ class TestParserReuse:
         cli._build_parser.cache_clear()
         run(capsys, "count", "--gen", "chain:3")
         run(capsys, "count", "--gen", "chain:4")
-        assert len(constructed) == 6
+        assert len(constructed) == 5
 
 
 class TestRandomSpecBudget:

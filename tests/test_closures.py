@@ -216,6 +216,30 @@ class TestCryptomorphism:
         op = operator_from_system(p, mask_of([1, 3]))
         assert op.image == (1, 1, 3, 3)
 
+    @pytest.mark.parametrize("p,c,first", [
+        (Poset(2, []), 0, 0),                 # nothing at all above 0
+        (diamond(2), mask_of([1, 2, 3]), 0),  # 1 and 2 both minimal above 0
+        (diamond(2), mask_of([0, 1]), 2),     # 0 and 1 have their own
+    ], ids=["empty", "two minimal", "first missing"])
+    def test_non_closure_system_is_a_value_error(self, p, c, first):
+        with pytest.raises(ValueError, match=f"^not a closure system: {first} has no "):
+            operator_from_system(p, c)
+
+    def test_non_closure_system_is_refused_under_optimization(self):
+        src = os.path.dirname(os.path.dirname(closurecount.__file__))
+        script = (
+            "from closurecount import Poset\n"
+            "from closurecount.closures import operator_from_system\n"
+            "try:\n"
+            "    print(operator_from_system(Poset(2, []), 0).image)\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+        proc = subprocess.run([sys.executable, "-O", "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "not a closure system: 0 has no least majorizer in it\n"
+
     def test_round_trips_on_random_posets(self):
         for _, p in random_posets(seed=23, count=30, max_n=7):
             for cs in enumerate_closure_systems(p):

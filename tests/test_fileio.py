@@ -82,8 +82,23 @@ class TestStructured:
         data = parse_poset_text(JSON_TEXT)
         assert (data.n, data.fmt) == (4, "json")
         assert data.labels == ["bot", "left", "right", "top"]
-        p = build_poset(data)
-        assert p == diamond(2) and p.labels == ("bot", "left", "right", "top")
+        assert build_poset(data) == diamond(2)
+
+    # labels are checked and kept in the file data; the poset carries none
+    def test_labels_length_checked(self):
+        with pytest.raises(ParseError, match="array of 2 strings"):
+            parse_poset_text('{"n": 2, "edges": [[0, 1]], "labels": ["a", "b", "c"]}')
+
+    def test_labels_roundtrip(self):
+        data = parse_poset_text('{"n": 2, "edges": [[0, 1]], "labels": ["lo", "hi"]}')
+        assert data.labels == ["lo", "hi"]
+        assert build_poset(data) == chain(2)
+
+    def test_equality_ignores_labels(self):
+        text = '{"n": 2, "edges": [[0, 1]]%s}'
+        labelled = build_poset(parse_poset_text(text % ', "labels": ["x", "y"]'))
+        assert labelled == build_poset(parse_poset_text(text % ""))
+        assert labelled != Poset(2, [])
 
     def test_edges_key_is_optional(self):
         p = build_poset(parse_poset_text('{"n": 3}'))
@@ -188,10 +203,9 @@ class TestRoundTrips:
             assert build_poset(parse_poset_text(to_edge_text(p))) == p
 
     def test_structured_round_trip_keeps_labels(self):
-        p = Poset(3, [(0, 1), (1, 2)], labels=("a", "b", "c"))
-        text = json.dumps(to_structured(p))
-        q = build_poset(parse_poset_text(text))
-        assert q == p and q.labels == p.labels
+        p = Poset(3, [(0, 1), (1, 2)])
+        data = parse_poset_text(json.dumps(to_structured(p, ("a", "b", "c"))))
+        assert build_poset(data) == p and data.labels == ["a", "b", "c"]
 
     def test_structured_omits_absent_labels(self):
         assert "labels" not in to_structured(chain(3))
@@ -213,7 +227,9 @@ class TestFiles:
     def test_load_json_file(self, tmp_path):
         f = tmp_path / "p.json"
         f.write_text(JSON_TEXT)
-        assert build_poset(read_poset_file(str(f))).labels == ("bot", "left", "right", "top")
+        data = read_poset_file(str(f))
+        assert data.labels == ["bot", "left", "right", "top"]
+        assert build_poset(data) == diamond(2)
 
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):

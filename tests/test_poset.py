@@ -46,10 +46,6 @@ class TestConstruction:
             Poset(2, [(0, 10 ** 4000)])
         assert len(str(exc.value)) < 100
 
-    def test_labels_length_checked(self):
-        with pytest.raises(ValueError):
-            Poset(2, [(0, 1)], labels=["a"])
-
     def test_rebuilding_from_covers_is_identity(self):
         p = Poset(5, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (0, 4)])
         assert Poset(p.n, p.covers) == p
@@ -196,11 +192,6 @@ class TestStructure:
         with pytest.raises(EmptySetError):
             Poset(2, [(0, 1)]).restrict(0)
 
-    def test_restrict_keeps_labels(self):
-        p = Poset(3, [(0, 1), (1, 2)], labels=["a", "b", "c"])
-        sub, _ = p.restrict(mask_of([0, 2]))
-        assert sub.labels == ("a", "c")
-
     def test_augment(self):
         p = Poset(3, [(0, 1), (0, 2)])
         aug = p.augment()
@@ -208,10 +199,6 @@ class TestStructure:
         assert aug.succ[1] == (aug.top,) and aug.succ[2] == (aug.top,)
         assert aug.reachable_avoiding(aug.bot, aug.top, removed=1)
         assert not aug.reachable_avoiding(aug.bot, aug.top, removed=0)
-
-    def test_equality_ignores_labels(self):
-        assert Poset(2, [(0, 1)], labels=["x", "y"]) == Poset(2, [(0, 1)])
-        assert Poset(2, [(0, 1)]) != Poset(2, [])
 
 
 class TestShapes:
@@ -253,10 +240,6 @@ class TestShapes:
             Poset(2, [(0, 1)]).detect_shape(0)
         with pytest.raises(EmptySetError):
             Poset(0, []).detect_shape()
-
-    def test_labels_roundtrip(self):
-        p = Poset(2, [(0, 1)], labels=["lo", "hi"])
-        assert p.labels == ("lo", "hi")
 
 
 class TestRandomizedInvariants:
