@@ -40,10 +40,13 @@ def main() -> None:
          t=mask_of([1]))
 
     print()
-    print("the fork example combines three subcounts:")
-    print("  systems meeting the suborder   -> quotient-with-class x")
-    print("     (2 x inside - 1), the nonempty preclosure systems inside")
-    print("  systems avoiding it entirely   -> quotient-without-class")
+    print("the fork example combines its three children, M = quotient systems")
+    print("with the class, S = inside systems, Q = all quotient systems, as")
+    print("M x 2 x (S - 1) + Q:")
+    print("  systems meeting the suborder   -> M x (2 x S - 1), the nonempty")
+    print("     preclosure systems inside")
+    print("  systems avoiding it entirely   -> Q - M, the quotient systems")
+    print("     avoiding the class")
 
 
 if __name__ == "__main__":

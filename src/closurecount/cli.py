@@ -8,12 +8,12 @@ Subcommands:
 
 Exit codes: 0 success, 1 a selfcheck mismatch, 2 bad input or usage (a
 negative --cap, an element count above poset.MAX_ELEMENTS or more relation
-pairs than poset.MAX_EDGES among them), 3 refused as too large: a leaf count
-past its --cap state budget without --force, a selfcheck --max-size above the
+pairs than poset.MAX_EDGES among them), 3 a TooLargeError: a leaf count past
+its --cap state budget without --force, a selfcheck --max-size above the
 enumerator's element cap, a random:N spec not connected within the sampler's
-draw budget, or a decomposition nested deeper than the interpreter's recursion
-limit (summit siblings collapse at once, bottleneck siblings still split one
-per level).
+draw budget, or a decomposition that count_closures refuses as nested deeper
+than the interpreter's recursion limit (summit siblings collapse at once,
+bottleneck siblings still split one per level).
 A refusal by the argument parser itself (an unknown subcommand or option, a
 non-integer --cap) also exits 2, its message cut short like any quote of
 outside input.
@@ -210,16 +210,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except TooLargeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except RecursionError:
-        print(f"error: decomposition nested deeper than the recursion limit "
-              f"({sys.getrecursionlimit()})", file=sys.stderr)
-        return 3
     except (ClosureCountError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, TooLargeError) else 2
 
 
 if __name__ == "__main__":

@@ -115,7 +115,10 @@ def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
                               cap: Optional[int] = DEFAULT_ENUM_CAP) -> Iterator[ClosureSystem]:
     """Yield every closure system containing `required`, ascending by subset
     bitmask over the free elements. An unsatisfiable `required` simply yields
-    nothing."""
+    nothing. Raises TooLargeError when p has more than `cap` elements
+    (cap=None lifts the cap) and ValueError for a negative cap."""
+    if cap is not None and cap < 0:
+        raise ValueError(f"element cap must be nonnegative, got {cap}")
     if cap is not None and p.n > cap:
         raise TooLargeError(f"n={p.n} exceeds the enumeration cap {cap}")
     forced = _forced(p, required)

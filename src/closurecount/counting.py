@@ -17,18 +17,18 @@ preferring structure over enumeration, in this order:
      suborder left to split; the inside of a suborder (here and in step 4)
      is a product over the intervals between its consecutive cut points
      (iso.cuts), the summit formula applied down its nested summit suborders;
-  4. a useful bottleneck suborder S' disjoint from t: systems that meet S'
-     contribute (quotient systems containing the collapsed class) x
-     (2 |C(S')| - 1), where the factor counts the nonempty preclosure
-     systems of S' (C may meet S' without containing its top, and the
-     bottleneck above rescues least majorizers); systems avoiding S'
-     entirely are in bijection with quotient systems avoiding the class;
-     one S' per node, so bottleneck siblings still split one per level;
+  4. a useful bottleneck suborder S' disjoint from t, its class c in the
+     quotient Q: C(P) = C(Q, t) + 2 (|C(S')| - 1) x C(Q, t + {c}), the
+     children being C(Q, t + {c}), C(S') and C(Q, t): systems meeting S'
+     number C(Q, t + {c}) x (2 |C(S')| - 1), the nonempty preclosure
+     systems of S' (the bottleneck above rescues least majorizers), and
+     those avoiding it C(Q, t) - C(Q, t + {c}); one S' per node, so
+     bottleneck siblings still split one per level;
   5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
      DP over a reverse linear extension), refused once it has visited more
-     than `cap` states (cap=None lifts the budget); a leaf isomorphic to
-     one already counted in this count, t onto t, reuses its value, from a
-     per-call cache keyed by the leaf's order relabelled structurally.
+     than `cap` states (cap=None lifts the budget); an unconstrained leaf
+     isomorphic to one already counted in this count reuses its node, from
+     a per-call cache keyed by the leaf's order relabelled structurally.
 
 Every path is validated against enumerate_closure_systems in the test
 suite; neither the decomposition nor the leaf counter is trusted on its
@@ -37,6 +37,7 @@ own.
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
 from math import prod
 from operator import or_
@@ -45,7 +46,7 @@ from typing import Iterator, NamedTuple, Optional
 from .bitset import ElementSet, bits, mask_of, size
 from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
-from .errors import EmptyPosetError
+from .errors import EmptyPosetError, TooLargeError
 from .formulas import count_special
 from .isolated import (IsoKind, IsolatedSuborder, find_max_bottleneck_isos,
                        find_max_summit_isos, quotient_by)
@@ -70,11 +71,13 @@ class DecompositionTrace(NamedTuple):
     kind is one of "special", "components", "cuts" (the product over the
     parts between a suborder's cut points), "summit", "bottleneck", "brute".
     isos are the suborders a split collapses, each counted in a child
-    after the first. iso_original, their union, and t_original are masks in
-    the ids of the original poset the count was asked about, so
-    disjointness is auditable after nested quotients renumber everything;
-    search_space is 2^(free elements) of a "brute" leaf, the subsets the
-    enumerator would examine there.
+    after the first; a "bottleneck" node on S' has the children
+    C(Q, t + {c}), C(S'), C(Q, t) and the value C(Q, t) + 2 (|C(S')| - 1)
+    x C(Q, t + {c}) (module docstring, step 4). iso_original, their union,
+    and t_original are masks in the ids of the original poset the count
+    was asked about, so disjointness is auditable after nested quotients
+    renumber everything; search_space is 2^(free elements) of a "brute"
+    leaf, the subsets the enumerator would examine there.
     """
 
     kind: str
@@ -100,8 +103,8 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
     """Count the closure systems of p containing t (an element mask).
 
     Exact arbitrary-precision result. Raises EmptyPosetError for n = 0,
-    ValueError for a negative `cap`, and TooLargeError when a leaf count
-    would visit more than `cap` states; cap=None lifts the budget.
+    ValueError for a negative `cap`, and TooLargeError for a leaf past `cap`
+    states (cap=None lifts it) or a decomposition past the recursion limit.
     """
     if p.n == 0:
         raise EmptyPosetError("closure systems live on a nonempty poset")
@@ -111,12 +114,16 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
         raise ValueError(f"state budget must be nonnegative, got {cap}")
     origin = tuple(1 << x for x in range(p.n))
     comps = p.connected_components()
-    leaves = {}  # the "brute" leaves of this count, see _count
-    if len(comps) == 1:
-        trace = _count(p, p.full_mask, t, origin, cap, leaves)
-    else:  # every system contains every maximal element
-        trace = _product("components", p, comps, t & ~p.maximal_mask, origin, cap,
-                         leaves)
+    leaves = {}  # the unconstrained "brute" leaves of this count, see _count
+    try:
+        if len(comps) == 1:
+            trace = _count(p, p.full_mask, t, origin, cap, leaves)
+        else:  # every system contains every maximal element
+            trace = _product("components", p, comps, t & ~p.maximal_mask, origin,
+                             cap, leaves)
+    except RecursionError:
+        raise TooLargeError(f"decomposition nested deeper than the recursion limit"
+                            f" ({sys.getrecursionlimit()})") from None
     return CountResult(trace.value, trace)
 
 
@@ -130,11 +137,11 @@ def _mapped(idmap: tuple, t: ElementSet, origin: tuple) -> tuple:
             tuple(origin[x] for x in idmap))
 
 
-def _structure(p: Poset, t: ElementSet) -> tuple:
-    """n, p's covers and t relabelled in a structural order: by height,
-    then the sorted new labels of the lower covers, up-degree and membership
-    in t, ties broken by id (one pass of colour refinement). The labels are
-    a bijection, so equal values are an isomorphism that maps t onto t."""
+def _structure(p: Poset) -> tuple:
+    """n and p's covers relabelled in a structural order: by height, then
+    the sorted new labels of the lower covers and up-degree, ties broken by
+    id (one pass of colour refinement). The labels are a bijection, so
+    equal values are an isomorphism."""
     pred = p.cover_pred
     height = [0] * p.n
     for x in p.topo:
@@ -144,10 +151,9 @@ def _structure(p: Poset, t: ElementSet) -> tuple:
     for h in range(max(height) + 1):
         level = [x for x in range(p.n) if height[x] == h]  # ties stay in id order
         level.sort(key=lambda x: (sorted(map(label.__getitem__, pred[x])),
-                                  len(p.cover_succ[x]), (t >> x) & 1))
+                                  len(p.cover_succ[x])))
         label.update(zip(level, range(len(label), p.n)))
-    return (p.n, frozenset([(label[u], label[v]) for u, v in p.covers]),
-            mask_of(map(label.__getitem__, bits(t))))
+    return p.n, frozenset([(label[u], label[v]) for u, v in p.covers])
 
 
 def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
@@ -157,12 +163,12 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     that has none becomes a Poset of its own, for detection and the leaf.
     Every sub-problem below is connected too.
 
-    leaves files this count's "brute" nodes under the gate (n, number of
-    covers, |t|) as ({_structure: node}, [the first (p, t, node), until a
-    second part of its gate keys it]). A part isomorphic to a leaf, t onto
-    t, has its value and search space and no usable suborder either, as
-    maximal isolated suborders are structural: it reuses the node with its
-    own t_original and visits no states, so `cap` bounds counted leaves."""
+    leaves files this count's unconstrained "brute" nodes under the gate
+    (n, number of covers) as ({_structure: node}, [the first (p, node),
+    until a second part of its gate keys it]). An unconstrained part
+    isomorphic to a leaf shares its value, search space and lack of usable
+    suborders (they are structural): it reuses the node, visiting no
+    states, so `cap` bounds counted leaves. Constrained parts skip this."""
     # every system contains every element maximal in s
     t &= ~mask_of(x for x in bits(t) if not p.reach[x] & s)
     t_orig = _originals(origin, t)
@@ -173,14 +179,14 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     if s != p.full_mask:
         p, idmap = p.restrict(s)
         t, origin = _mapped(idmap, t, origin)
-    gate, key = (p.n, len(p.covers), size(t)), None
-    if gate in leaves:
+    gate, key = (p.n, len(p.covers)), None
+    if not t and gate in leaves:
         keyed, unkeyed = leaves[gate]
-        keyed.update((_structure(q, u), node) for q, u, node in unkeyed)
+        keyed.update((_structure(q), node) for q, node in unkeyed)
         unkeyed.clear()
-        key = _structure(p, t)
+        key = _structure(p)
         if key in keyed:
-            return keyed[key]._replace(t_original=t_orig)
+            return keyed[key]
 
     for finder in (find_max_summit_isos, find_max_bottleneck_isos):
         isos = tuple(iso for iso in finder(p) if not iso.members & t)
@@ -206,9 +212,9 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
             q_t, q_origin = _mapped(idmap, t, classes)
             meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
                              q_origin, cap, leaves)
-            avoiding = _count(q, q.full_mask, q_t, q_origin, cap, leaves)
-            value = meeting.value * 2 * (insides[0].value - 1) + avoiding.value
-            children = (meeting,) + insides + (avoiding,)
+            whole = _count(q, q.full_mask, q_t, q_origin, cap, leaves)
+            value = meeting.value * 2 * (insides[0].value - 1) + whole.value
+            children = (meeting,) + insides + (whole,)
         return DecompositionTrace(kind.value, value, p.n, children, isos=isos,
                                   iso_original=iso_orig, t_original=t_orig)
 
@@ -216,10 +222,10 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     value = count_closure_systems_bruteforce(p, t, cap=cap)
     node = DecompositionTrace("brute", value, p.n,
                               t_original=t_orig, search_space=space)
-    if key is None:  # the first leaf of its gate
-        leaves[gate] = ({}, [(p, t, node)])
-    else:
+    if key is not None:
         keyed[key] = node
+    elif not t:  # the first unconstrained leaf of its gate
+        leaves[gate] = ({}, [(p, node)])
     return node
 
 

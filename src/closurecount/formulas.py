@@ -22,7 +22,8 @@ def count_special(p: Poset, t: ElementSet = 0,
     (default: the whole poset) that contain t, t within s, when that
     suborder is a chain, a diamond or a bottomless diamond; None for any
     other shape. The shape is read off p's masks (Poset.detect_shape), so s
-    need not be a Poset of its own.
+    need not be a Poset of its own. Raises ValueError when s has bits
+    outside p or t has bits outside s.
 
     The top belongs to every closure system, so its membership in t never
     changes a count. With k = the elements of t below the top:
@@ -39,6 +40,8 @@ def count_special(p: Poset, t: ElementSet = 0,
     and the bottomless-diamond exponent in circulating write-ups disagree
     with enumeration, and enumeration wins."""
     s = p.full_mask if s is None else s
+    if t & ~s:
+        raise ValueError(f"constraint mask {t:#x} has bits outside the suborder")
     shape = p.detect_shape(s)
     if shape.kind is ShapeKind.OTHER:
         return None

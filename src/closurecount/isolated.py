@@ -54,7 +54,10 @@ class IsolatedSuborder(NamedTuple):
 def is_isolated_suborder(p: Poset, s: ElementSet) -> bool:
     """Direct definitional check (used as the oracle for separator-based
     detection): s has a least and a greatest member, any comparability from
-    inside to the outside factors through them."""
+    inside to the outside factors through them. Raises ValueError when s
+    has bits outside p."""
+    if s & ~p.full_mask:
+        raise ValueError(f"element mask {s:#x} has bits outside the poset")
     if not s:
         return False
     bot = p.least_element_of(s)

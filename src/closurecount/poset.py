@@ -261,10 +261,13 @@ class Poset:
         still have a member above them, and stops at every member it meets;
         the edges to those members generate the induced order, and the
         constructor reduces them. On a convex s no climb leaves s, so only
-        the covers inside s are read.
+        the covers inside s are read. Raises EmptySetError on an empty s and
+        ValueError on one with bits outside the poset.
         """
         if not s:
             raise EmptySetError("cannot restrict to the empty set")
+        if s & ~self.full_mask:
+            raise ValueError(f"element mask {s:#x} has bits outside the poset")
         idmap = tuple(bits(s))
         new_id = {x: i for i, x in enumerate(idmap)}
         cover_succ = self.cover_succ
@@ -301,10 +304,13 @@ class Poset:
         The order on s is read off this poset's masks, so a part of it is
         classified without becoming a Poset of its own; the answer is the
         one restrict(s) would give. Raises EmptySetError on an empty mask,
-        as restrict does, the whole of an empty poset included."""
+        as restrict does, the whole of an empty poset included, and
+        ValueError on a mask with bits outside the poset."""
         s = self.full_mask if s is None else s
         if not s:
             raise EmptySetError("an empty set has no shape")
+        if s & ~self.full_mask:
+            raise ValueError(f"element mask {s:#x} has bits outside the poset")
         if self.is_chain(s):
             return Shape(ShapeKind.CHAIN, size(s))
         least = self.least_element_of(s)

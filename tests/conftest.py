@@ -170,3 +170,17 @@ def posets(draw, max_n: int = 8) -> Poset:
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     perm = draw(st.permutations(range(n)))
     return Poset(n, [(perm[u], perm[v]) for u, v in chosen])
+
+
+def nested(k: int) -> Poset:
+    """One element inside k levels, each adding a bottom b below the last
+    bottom, a top u above the last top and a side element s, b < s < u:
+    every level's inside is an isolated suborder of the next, so the
+    decomposition nests k deep. It has 3k + 1 elements and
+    (6^(k+1) - 1)/5 closure systems."""
+    edges, bottom, top = [], 0, 0
+    for b in range(1, 3 * k + 1, 3):
+        s, u = b + 1, b + 2
+        edges += [(b, bottom), (top, u), (b, s), (s, u)]
+        bottom, top = b, u
+    return Poset(3 * k + 1, edges)

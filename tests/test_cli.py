@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import random
 import re
 import resource
 import subprocess
@@ -13,9 +14,11 @@ from decimal import Decimal
 
 import pytest
 
-from closurecount import Poset, enumerate_closure_systems
-from closurecount import cli
+from closurecount import Poset, bits, enumerate_closure_systems
+from closurecount import cli, selfcheck
 from closurecount.cli import main
+from closurecount.generators import random_connected_poset, random_submask
+from conftest import nested, oracle_count, to_structured
 
 DIAMOND_TEXT = "4\n0 1\n0 2\n1 3\n2 3\n"
 
@@ -144,14 +147,15 @@ class TestCount:
         rc, out, err = run(capsys, command, str(f))
         assert (rc, out) == (2, "") and "invalid JSON" in err
 
-    def test_recursion_error_is_exit_3(self, capsys, monkeypatch):
-        def too_deep(*args, **kwargs):
-            raise RecursionError("maximum recursion depth exceeded")
-
-        monkeypatch.setattr(cli, "count_closures", too_deep)
-        rc, out, err = run(capsys, "count", "--gen", "chain:3")
+    def test_recursion_error_is_exit_3(self, capsys, tmp_path):
+        # 250 suborders nested one in the next: count_closures refuses the
+        # decomposition as too large before the recursion limit escapes
+        f = tmp_path / "nested.json"
+        f.write_text(json.dumps(to_structured(nested(250))))
+        rc, out, err = run(capsys, "count", str(f))
         assert (rc, out) == (3, "")
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == ("error: decomposition nested deeper than the recursion limit"
+                       f" ({sys.getrecursionlimit()})\n")
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "count", str(tmp_path / "absent.txt"))
@@ -264,6 +268,46 @@ class TestSelfcheck:
         rc, out, err = run(capsys, "selfcheck", "--max-size", "23")
         assert (rc, out) == (3, "")
         assert err == "error: max size 23 exceeds the enumeration cap 22\n"
+
+    def test_a_mismatch_is_exit_1_and_reproducible_from_its_seed(self, capsys, monkeypatch):
+        real = selfcheck.count_closures
+
+        def one_off(p, t):
+            result = real(p, t)
+            return result._replace(value=result.value + 1)
+
+        monkeypatch.setattr(selfcheck, "count_closures", one_off)
+        rc, out, _ = run(capsys, "selfcheck", "--instances", "4",
+                         "--max-size", "6", "--seed", "11")
+        assert rc == 1
+        head, line = out.splitlines()
+        assert head.startswith("0/4 OK in ")
+        m = re.fullmatch(r"MISMATCH on instance #(\d+): n=(\d+), covers=(.*), "
+                         r"required=(.*), decomposition=(\d+), enumeration=(\d+)", line)
+        index, n, covers, required, got, want = m.groups()
+        assert index == "0"
+        rng = random.Random(11)
+        p = random_connected_poset(rng, rng.randint(1, 6))
+        t = random_submask(rng, p.full_mask, selfcheck.MAX_T)
+        assert (n, covers, required) == (str(p.n), str(sorted(p.covers)),
+                                         str(sorted(bits(t))))
+        assert int(want) == oracle_count(p, t) == int(got) - 1
+
+    def test_a_disjointness_violation_is_exit_1(self, capsys, monkeypatch):
+        real = selfcheck.count_closures
+
+        def overlapping(p, t):
+            # the root claims to split a suborder holding a required element
+            result = real(p, t)
+            return result._replace(trace=result.trace._replace(iso_original=1,
+                                                               t_original=1))
+
+        monkeypatch.setattr(selfcheck, "count_closures", overlapping)
+        rc, out, _ = run(capsys, "selfcheck", "--instances", "3", "--seed", "2")
+        assert rc == 1
+        head, line = out.splitlines()
+        assert head.startswith("3/3 OK in ")
+        assert line == "suborder/constraint disjointness violations: 3"
 
 
 @pytest.mark.parametrize("argv", [

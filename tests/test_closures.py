@@ -272,6 +272,11 @@ class TestCryptomorphism:
         with pytest.raises(InvalidOperatorError):
             validate_operator(ClosureOperator(chain(2), (0,)))
 
+    @pytest.mark.parametrize("image", [(2, 1), (-1, 1)])
+    def test_image_out_of_range(self, image):
+        with pytest.raises(InvalidOperatorError, match="out of range"):
+            validate_operator(ClosureOperator(chain(2), image))
+
 
 class TestPreclosure:
     def test_definition_examples(self):

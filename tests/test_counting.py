@@ -28,14 +28,16 @@ from closurecount.bitset import size
 from closurecount import counting
 from closurecount.counting import _count, _structure, bruteforce_candidates, digits
 from closurecount.errors import EmptyPosetError
+from closurecount.formulas import count_special
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
                                      random_connected_poset, random_submask, stacked)
 from closurecount.isolated import IsoKind
 from closurecount.poset import AugmentedPoset
 from closurecount.selfcheck import disjointness_violations
-from conftest import (broom, glued_poset, oracle_count, posets, random_poset,
+from conftest import (broom, glued_poset, nested, oracle_count, posets, random_poset,
                       random_posets, relabel)
 
+PATH3 = Poset(3, [(0, 1), (1, 2)])
 GLUED = Poset(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
                             (3, 4), (3, 5), (4, 6), (5, 6)])
@@ -133,8 +135,20 @@ class TestDispatch:
         trace = count_closures(CHAIN_TWO_TOPS).trace
         assert trace.kind == "bottleneck"
         assert [(iso.bottom, iso.top) for iso in trace.isos] == [(0, 1)]
-        meeting, inside, avoiding = trace.children
-        assert trace.value == meeting.value * 2 * (inside.value - 1) + avoiding.value
+        meeting, inside, whole = trace.children
+        assert trace.value == meeting.value * 2 * (inside.value - 1) + whole.value
+
+    def test_last_bottleneck_child_counts_every_quotient_system(self):
+        # C(P) = C(Q, t) + 2 (|C(S')| - 1) C(Q, t + {c}): the last child is
+        # C(Q), 28, not the 14 quotient systems that avoid the class c
+        p = broom(2, reverse=True)
+        trace = count_closures(p).trace
+        (iso,) = trace.isos
+        q, idmap = p.restrict(quotient_by(p, iso))
+        c = 1 << idmap.index(iso.bottom)
+        assert [child.value for child in trace.children] == [14, 7, 28]
+        assert (oracle_count(q), oracle_count(q, c)) == (28, 14)
+        assert trace.value == 14 * (2 * 7 - 1) + (28 - 14) == oracle_count(p)
 
     def test_powerset_falls_back_to_brute_force(self):
         trace = count_closures(powerset_lattice(3)).trace
@@ -389,53 +403,61 @@ class TestAgainstTheWholePosetDP:
         assert [(node.value, node.search_space) for node in leaves] == [(61, 128)] * levels
 
 
-def isomorphic_onto(p: Poset, t: int, q: Poset, u: int) -> bool:
-    """Does some bijection map p's covers onto q's and t onto u? By a
-    search over all permutations, for small posets."""
-    if (p.n, len(p.covers), size(t)) != (q.n, len(q.covers), size(u)):
+def isomorphic(p: Poset, q: Poset) -> bool:
+    """Does some bijection map p's covers onto q's? By a search over all
+    permutations, for small posets."""
+    if (p.n, len(p.covers)) != (q.n, len(q.covers)):
         return False
-    return any(mask_of(perm[x] for x in bits(t)) == u
-               and {(perm[a], perm[b]) for a, b in p.covers} == q.covers
+    return any({(perm[a], perm[b]) for a, b in p.covers} == q.covers
                for perm in permutations(range(p.n)))
 
 
 class TestLeafKey:
-    # _structure(p, t) files a leaf's count within one count_closures call:
-    # equal keys must be an isomorphism of the two posets that maps t onto t
-    def test_equal_keys_are_isomorphisms_onto_t(self):
+    # _structure(p) files an unconstrained leaf's count within one
+    # count_closures call: equal keys must be an isomorphism of the posets
+    def test_equal_keys_are_isomorphisms(self):
         rng = random.Random(4099)
         groups = {}
         for _ in range(200):
             p = random_poset(rng, rng.randint(1, 7))
-            t = random_submask(rng, p.full_mask, 3)
             perm = rng.sample(range(p.n), p.n)
             copy = Poset(p.n, [(perm[u], perm[v]) for u, v in p.covers])
-            image = mask_of(perm[x] for x in bits(t))
-            moved = random_submask(rng, p.full_mask, 3)
-            for q, u in ((p, t), (copy, image), (copy, moved)):
-                groups.setdefault(_structure(q, u), []).append((q, u))
+            for q in (p, copy):
+                groups.setdefault(_structure(q), []).append(q)
         shared = [members for members in groups.values() if len(members) > 1]
         assert len(shared) >= 50  # the check below is not vacuous
-        for (p, t), *others in shared:
-            for q, u in others:
-                assert isomorphic_onto(p, t, q, u)
+        for p, *others in shared:
+            for q in others:
+                assert isomorphic(p, q)
 
     @pytest.mark.parametrize("first,second", [
-        # t on a minimal element, or on the one above it
-        ((Poset(4, [(0, 1), (1, 2), (1, 3)]), 0b1), (Poset(4, [(0, 1), (1, 2), (1, 3)]), 0b10)),
         # two elements under one, or two over one
-        ((Poset(3, [(0, 2), (1, 2)]), 0), (Poset(3, [(0, 1), (0, 2)]), 0)),
+        (Poset(3, [(0, 2), (1, 2)]), Poset(3, [(0, 1), (0, 2)])),
         # a crown and a fork with the same heights and up-degrees
-        ((Poset(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)]), 0),
-         (Poset(6, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 5), (2, 3)]), 0)),
-        # an N and a chain with a pendant, t on the lowest of each
-        ((Poset(4, [(0, 2), (1, 2), (1, 3)]), 0b10), (Poset(4, [(0, 1), (1, 2), (0, 3)]), 0b1)),
+        (Poset(6, [(0, 3), (0, 4), (1, 4), (1, 5), (2, 5), (2, 3)]),
+         Poset(6, [(0, 3), (0, 4), (1, 3), (1, 4), (2, 5), (2, 3)])),
+        # an N and a chain with a pendant
+        (Poset(4, [(0, 2), (1, 2), (1, 3)]), Poset(4, [(0, 1), (1, 2), (0, 3)])),
     ])
     def test_near_misses_get_different_keys(self, first, second):
-        (p, t), (q, u) = first, second
-        assert (p.n, len(p.covers), size(t)) == (q.n, len(q.covers), size(u))
-        assert not isomorphic_onto(p, t, q, u)
-        assert _structure(p, t) != _structure(q, u)
+        assert (first.n, len(first.covers)) == (second.n, len(second.covers))
+        assert not isomorphic(first, second)
+        assert _structure(first) != _structure(second)
+
+    def test_constrained_leaves_compute_no_key(self, monkeypatch):
+        # two cubes, each a leaf with a required atom: the second is
+        # isomorphic to the first, t onto t, yet it is counted, not keyed
+        keys = []
+        structure = counting._structure
+        monkeypatch.setattr(counting, "_structure",
+                            lambda p: keys.append(p.n) or structure(p))
+        calls = leaf_dp_calls(monkeypatch)
+        cube = powerset_lattice(3)
+        p = Poset(16, list(cube.covers) + [(u + 8, v + 8) for u, v in cube.covers])
+        trace = count_closures(p, 0b10 | 0b10 << 8).trace
+        assert trace.value == oracle_count(cube, 0b10) ** 2
+        assert [c.kind for c in trace.children] == ["brute", "brute"]
+        assert (keys, calls) == ([], [8, 8])
 
 
 class TestLimitsAndErrors:
@@ -456,6 +478,21 @@ class TestLimitsAndErrors:
 
     def test_formula_paths_ignore_the_cap(self):
         assert count_closures(chain(30), cap=5).value == 2 ** 29
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: PATH3.restrict(1 << 5), id="restrict"),
+        pytest.param(lambda: PATH3.detect_shape(0b1000), id="detect_shape"),
+        pytest.param(lambda: count_special(PATH3, 0, 0b1001), id="count_special s outside p"),
+        pytest.param(lambda: count_special(chain(3), 0b1000), id="count_special t outside p"),
+        pytest.param(lambda: count_special(PATH3, 0b1, 0b110), id="count_special t outside s"),
+        pytest.param(lambda: is_isolated_suborder(PATH3, 0b1000), id="is_isolated_suborder"),
+        pytest.param(lambda: next(enumerate_closure_systems(PATH3, cap=-1)),
+                     id="enumerator cap"),
+        pytest.param(lambda: count_closures(PATH3, 0b1000), id="count_closures"),
+    ])
+    def test_out_of_range_arguments_are_value_errors(self, call):
+        with pytest.raises(ValueError):
+            call()
 
     def test_negative_cap_is_an_input_error(self):
         for p in (chain(3), powerset_lattice(3)):
@@ -530,6 +567,26 @@ class TestNestedSuborders:
         sys.setrecursionlimit(1000)
         try:
             assert count_closures(family("stacked:600")).value == 7 * 14 ** 599
+        finally:
+            sys.setrecursionlimit(limit)
+
+    @pytest.mark.parametrize("k", range(6))
+    def test_nested_levels_agree_with_enumeration(self, k):
+        p = nested(k)
+        assert count_closures(p).value == oracle_count(p) == (6 ** (k + 1) - 1) // 5
+
+    def test_hundred_nested_levels(self):
+        assert count_closures(nested(100)).value == (6 ** 101 - 1) // 5
+
+    def test_nesting_past_the_recursion_limit_is_too_large(self):
+        # each level is one more suborder inside the last, and one more
+        # level of the decomposition: 250 of them pass a limit of 1000
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            with pytest.raises(TooLargeError, match=r"nested deeper than the"
+                               r" recursion limit \(1000\)"):
+                count_closures(nested(250))
         finally:
             sys.setrecursionlimit(limit)
 
@@ -633,6 +690,15 @@ class TestExplain:
         assert "* 2*(" in text and "-1) +" in text
         # an inside without cut points strictly inside is no product node
         assert text.splitlines()[2] == "  chain n=2 -> 2"
+
+    def test_components_line(self):
+        # 1 is maximal, so T = {1} is free and carries no note
+        p = Poset(5, [(0, 1), (2, 3), (2, 4)])
+        assert explain(count_closures(p, mask_of([1])).trace).splitlines() == [
+            "product over 2 components -> 2",
+            "  chain n=2 -> 2",
+            "  leaf count, search space 2 -> 1",
+        ]
 
     def test_brute_line(self):
         text = explain(count_closures(powerset_lattice(3)).trace)

@@ -201,6 +201,23 @@ class TestStructure:
         assert not aug.reachable_avoiding(aug.bot, aug.top, removed=0)
 
 
+class TestEqualityAndRepr:
+    def test_equal_covers_are_equal_posets(self):
+        p = Poset(3, [(0, 1), (1, 2), (0, 2)])
+        q = Poset(3, [(1, 2), (0, 1)])
+        assert p == q and hash(p) == hash(q)
+        assert p != Poset(3, [(0, 1)]) and p != Poset(4, [(0, 1), (1, 2)])
+
+    def test_a_non_poset_is_never_equal(self):
+        p = Poset(2, [(0, 1)])
+        assert p.__eq__((2, frozenset({(0, 1)}))) is NotImplemented
+        assert p != (2, frozenset({(0, 1)})) and p != "Poset(n=2, covers=[(0, 1)])"
+
+    def test_repr_lists_sorted_covers(self):
+        p = Poset(4, [(2, 3), (0, 1), (0, 2)])
+        assert repr(p) == "Poset(n=4, covers=[(0, 1), (0, 2), (2, 3)])"
+
+
 class TestShapes:
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     def test_chain(self, n):
