@@ -10,10 +10,8 @@ Exit codes: 0 success, 1 a selfcheck mismatch, 2 bad input or usage (a
 negative --cap, an element count above poset.MAX_ELEMENTS or more relation
 pairs than poset.MAX_EDGES among them), 3 a TooLargeError: a leaf count past
 its --cap state budget without --force, a selfcheck --max-size above the
-enumerator's element cap, a random:N spec not connected within the sampler's
-draw budget, or a decomposition that count_closures refuses as nested deeper
-than the interpreter's recursion limit (summit siblings collapse at once,
-bottleneck siblings still split one per level).
+enumerator's element cap, or a random:N spec not connected within the
+sampler's draw budget.
 A refusal by the argument parser itself (an unknown subcommand or option, a
 non-integer --cap) also exits 2, its message cut short like any quote of
 outside input.

@@ -37,7 +37,6 @@ own.
 
 from __future__ import annotations
 
-import sys
 from functools import reduce
 from math import prod
 from operator import or_
@@ -46,19 +45,41 @@ from typing import Iterator, NamedTuple, Optional
 from .bitset import ElementSet, bits, mask_of, size
 from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
-from .errors import EmptyPosetError, TooLargeError
+from .errors import EmptyPosetError
 from .formulas import count_special
-from .isolated import (IsoKind, IsolatedSuborder, find_max_bottleneck_isos,
-                       find_max_summit_isos, quotient_by)
+from .isolated import (IsoKind, find_max_bottleneck_isos, find_max_summit_isos,
+                       quotient_by)
 from .poset import Poset, Shape
+
+
+def _run(root):
+    """The value root returns, root being a generator that yields the
+    generator of each sub-problem and is sent back its value. One list
+    drives the whole tree, so its depth is bounded by memory, not by the
+    interpreter's recursion limit."""
+    stack, value = [root], None
+    while stack:
+        try:
+            stack.append(stack[-1].send(value))
+            value = None
+        except StopIteration as done:
+            stack.pop()
+            value = done.value
+    return value
 
 
 def _repr(value) -> str:
     """repr with every int formatted by digits, down through tuples and
     named tuples, since a count or a mask can pass the int/str digit limit."""
+    return _run(_render(value))
+
+
+def _render(value):
     if not isinstance(value, tuple):
         return digits(value) if type(value) is int else repr(value)
-    items = [_repr(v) for v in value]
+    items = []
+    for v in value:
+        items.append((yield _render(v)))
     if hasattr(value, "_fields"):  # a named tuple
         fields = map("{}={}".format, value._fields, items)
         return f"{type(value).__name__}({', '.join(fields)})"
@@ -104,7 +125,7 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
 
     Exact arbitrary-precision result. Raises EmptyPosetError for n = 0,
     ValueError for a negative `cap`, and TooLargeError for a leaf past `cap`
-    states (cap=None lifts it) or a decomposition past the recursion limit.
+    states (cap=None lifts it).
     """
     if p.n == 0:
         raise EmptyPosetError("closure systems live on a nonempty poset")
@@ -113,17 +134,10 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
     if cap is not None and cap < 0:
         raise ValueError(f"state budget must be nonnegative, got {cap}")
     origin = tuple(1 << x for x in range(p.n))
-    comps = p.connected_components()
     leaves = {}  # the unconstrained "brute" leaves of this count, see _count
-    try:
-        if len(comps) == 1:
-            trace = _count(p, p.full_mask, t, origin, cap, leaves)
-        else:  # every system contains every maximal element
-            trace = _product("components", p, comps, t & ~p.maximal_mask, origin,
-                             cap, leaves)
-    except RecursionError:
-        raise TooLargeError(f"decomposition nested deeper than the recursion limit"
-                            f" ({sys.getrecursionlimit()})") from None
+    # every system contains every maximal element
+    trace = _run(_product("components", p, p.connected_components(),
+                          t & ~p.maximal_mask, origin, cap, leaves))
     return CountResult(trace.value, trace)
 
 
@@ -157,11 +171,12 @@ def _structure(p: Poset) -> tuple:
 
 
 def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
-           cap: Optional[int], leaves: dict) -> DecompositionTrace:
+           cap: Optional[int], leaves: dict):
     """Count the connected suborder of p on the mask s, t within s; t and
-    origin are in p's ids. A shape is read off p's masks; only a part
-    that has none becomes a Poset of its own, for detection and the leaf.
-    Every sub-problem below is connected too.
+    origin are in p's ids. A generator for _run: it yields each
+    sub-problem and returns its DecompositionTrace. A shape is read off
+    p's masks; only a part that has none becomes a Poset of its own, for
+    detection and the leaf. Every sub-problem below is connected too.
 
     leaves files this count's unconstrained "brute" nodes under the gate
     (n, number of covers) as ({_structure: node}, [the first (p, node),
@@ -202,19 +217,24 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
         for iso in isos:
             classes[iso.bottom] = _originals(origin, iso.members)
             iso_orig |= classes[iso.bottom]
-        insides = tuple(_count_inside(p, iso, origin, cap, leaves) for iso in isos)
+        # each inside is a product over the parts between its cut points
+        # (step 3); a part's top stands for the class and keeps its origin
+        insides = []
+        for iso in isos:
+            parts = [p.interval(v, w) for v, w in zip(iso.cuts, iso.cuts[1:])]
+            insides.append((yield _product("cuts", p, parts, 0, origin, cap, leaves)))
         if kind is IsoKind.SUMMIT:
-            quot = _count(p, q, t, tuple(classes), cap, leaves)
+            quot = yield _count(p, q, t, tuple(classes), cap, leaves)
             value = quot.value * prod(c.value for c in insides)
-            children = (quot,) + insides
+            children = (quot, *insides)
         else:  # both children count the quotient: restrict it once
             q, idmap = p.restrict(q)
             q_t, q_origin = _mapped(idmap, t, classes)
-            meeting = _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
-                             q_origin, cap, leaves)
-            whole = _count(q, q.full_mask, q_t, q_origin, cap, leaves)
+            meeting = yield _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
+                                   q_origin, cap, leaves)
+            whole = yield _count(q, q.full_mask, q_t, q_origin, cap, leaves)
             value = meeting.value * 2 * (insides[0].value - 1) + whole.value
-            children = (meeting,) + insides + (whole,)
+            children = (meeting, *insides, whole)
         return DecompositionTrace(kind.value, value, p.n, children, isos=isos,
                                   iso_original=iso_orig, t_original=t_orig)
 
@@ -230,30 +250,19 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
 
 
 def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
-             cap: Optional[int], leaves: dict) -> DecompositionTrace:
+             cap: Optional[int], leaves: dict):
     """Product of the counts of p's suborders on each part, t restricted
-    with it. The parts are the components of p, whose systems combine
-    independently, or the intervals between cut points (_count_inside)."""
-    children = [_count(p, part, t & part, origin, cap, leaves) for part in parts]
+    with it, as a generator for _run; a single part's own node. The parts
+    are the components of p, whose systems combine independently, or the
+    intervals between a suborder's cut points (_count)."""
+    children = []
+    for part in parts:
+        children.append((yield _count(p, part, t & part, origin, cap, leaves)))
+    if len(children) == 1:
+        return children[0]
     return DecompositionTrace(kind, prod(c.value for c in children),
                               size(reduce(or_, parts)), children=tuple(children),
                               t_original=_originals(origin, t))
-
-
-def _count_inside(p: Poset, iso: IsolatedSuborder, origin: tuple,
-                  cap: Optional[int], leaves: dict) -> DecompositionTrace:
-    """_count(P|S, 0) for S = iso.members: the product over the intervals
-    between consecutive cut points iso.cuts, bottom = c_0 < ... < c_r = top.
-
-    This is the summit formula C(P|S_i) = C(P|S_i / S_{i+1}) * C(S_{i+1})
-    unrolled down the nested summit suborders S_i = [c_i, top]: the
-    quotient is the part [c_i, c_{i+1}], whose greatest element c_{i+1}
-    stands for the class. It keeps its own original id, since no split
-    suborder in the part holds it and nothing there is constrained.
-    """
-    parts = [p.interval(v, w) for v, w in zip(iso.cuts, iso.cuts[1:])]
-    node = _product("cuts", p, parts, 0, origin, cap, leaves)
-    return node.children[0] if len(parts) == 1 else node
 
 
 def trace_nodes(trace: DecompositionTrace) -> Iterator[DecompositionTrace]:

@@ -57,9 +57,9 @@ class EmptySetError(ClosureCountError):
 
 
 class TooLargeError(ClosureCountError):
-    """Refused as too large: a leaf count past its state budget, a
-    decomposition nested deeper than the recursion limit, an enumeration over
-    more elements than its cap, or random sampling past its draw budget."""
+    """Refused as too large: a leaf count past its state budget, an
+    enumeration over more elements than its cap, or random sampling past its
+    draw budget."""
 
 
 class NoGreatestElementError(ClosureCountError):

@@ -8,8 +8,10 @@ counts); a hypothesis strategy drives the structural invariants.
 from __future__ import annotations
 
 import random
+import sys
 from typing import Optional
 
+import pytest
 from hypothesis import strategies as st
 
 from closurecount import Poset, bits, enumerate_closure_systems, mask_of
@@ -170,6 +172,15 @@ def posets(draw, max_n: int = 8) -> Poset:
     chosen = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     perm = draw(st.permutations(range(n)))
     return Poset(n, [(perm[u], perm[v]) for u, v in chosen])
+
+
+@pytest.fixture
+def default_recursion_limit():
+    """The interpreter's default recursion limit of 1,000, for one test."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(limit)
 
 
 def nested(k: int) -> Poset:

@@ -147,15 +147,13 @@ class TestCount:
         rc, out, err = run(capsys, command, str(f))
         assert (rc, out) == (2, "") and "invalid JSON" in err
 
-    def test_recursion_error_is_exit_3(self, capsys, tmp_path):
-        # 250 suborders nested one in the next: count_closures refuses the
-        # decomposition as too large before the recursion limit escapes
+    def test_nesting_past_the_recursion_limit_is_exit_0(self, capsys, tmp_path,
+                                                         default_recursion_limit):
+        # 250 suborders nested one in the next, 751 elements: the
+        # decomposition runs on its own stack, not the interpreter's
         f = tmp_path / "nested.json"
         f.write_text(json.dumps(to_structured(nested(250))))
-        rc, out, err = run(capsys, "count", str(f))
-        assert (rc, out) == (3, "")
-        assert err == ("error: decomposition nested deeper than the recursion limit"
-                       f" ({sys.getrecursionlimit()})\n")
+        assert run(capsys, "count", str(f)) == (0, f"{(6 ** 251 - 1) // 5}\n", "")
 
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         rc, _, err = run(capsys, "count", str(tmp_path / "absent.txt"))

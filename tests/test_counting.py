@@ -8,8 +8,8 @@ enumerator, never the leaf counter that the decomposition itself uses.
 
 from __future__ import annotations
 
+import inspect
 import random
-import sys
 import time
 from decimal import Decimal
 from itertools import permutations
@@ -26,7 +26,7 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           is_isolated_suborder, mask_of, quotient_by, trace_nodes)
 from closurecount.bitset import size
 from closurecount import counting
-from closurecount.counting import _count, _structure, bruteforce_candidates, digits
+from closurecount.counting import _count, _run, _structure, bruteforce_candidates, digits
 from closurecount.errors import EmptyPosetError
 from closurecount.formulas import count_special
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
@@ -186,7 +186,7 @@ class TestDispatch:
         # shape, so it is restricted first
         p = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
         origin = tuple(1 << x for x in range(p.n))
-        node = _count(p, part, mask_of([0, 4]), origin, None, {})
+        node = _run(_count(p, part, mask_of([0, 4]), origin, None, {}))
         assert node.kind == ("special" if size(part) == 3 else "brute")
         assert node.t_original == mask_of([0]) and node.n == size(part)
         sub, idmap = p.restrict(part)
@@ -562,13 +562,8 @@ class TestNestedSuborders:
     between its cut points, each built at most once: a part with a shape
     is counted on the masks of the poset it lies in, and not built."""
 
-    def test_deep_tower_under_the_default_recursion_limit(self):
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            assert count_closures(family("stacked:600")).value == 7 * 14 ** 599
-        finally:
-            sys.setrecursionlimit(limit)
+    def test_deep_tower_under_the_default_recursion_limit(self, default_recursion_limit):
+        assert count_closures(family("stacked:600")).value == 7 * 14 ** 599
 
     @pytest.mark.parametrize("k", range(6))
     def test_nested_levels_agree_with_enumeration(self, k):
@@ -578,17 +573,25 @@ class TestNestedSuborders:
     def test_hundred_nested_levels(self):
         assert count_closures(nested(100)).value == (6 ** 101 - 1) // 5
 
-    def test_nesting_past_the_recursion_limit_is_too_large(self):
+    def test_nesting_past_the_recursion_limit_counts(self, default_recursion_limit):
         # each level is one more suborder inside the last, and one more
-        # level of the decomposition: 250 of them pass a limit of 1000
-        limit = sys.getrecursionlimit()
-        sys.setrecursionlimit(1000)
-        try:
-            with pytest.raises(TooLargeError, match=r"nested deeper than the"
-                               r" recursion limit \(1000\)"):
-                count_closures(nested(250))
-        finally:
-            sys.setrecursionlimit(limit)
+        # level of the decomposition: 250 of them, on the decomposition's
+        # own stack, not the interpreter's
+        assert count_closures(nested(250)).value == (6 ** 251 - 1) // 5
+
+    def test_count_from_deep_in_the_callers_stack(self, default_recursion_limit):
+        # the caller's depth leaves the count about 100 frames, fewer than
+        # its 60 levels of nesting once took
+        p = nested(60)
+
+        def at_depth(k):
+            return at_depth(k - 1) if k else count_closures(p).value
+
+        assert at_depth(900 - len(inspect.stack(0))) == (6 ** 61 - 1) // 5
+
+    def test_repr_of_a_trace_nested_past_the_recursion_limit(self,
+                                                             default_recursion_limit):
+        assert repr(count_closures(nested(250))).startswith("CountResult(value=")
 
     def test_tower_builds_at_most_twice_its_elements(self, monkeypatch):
         p = family("stacked:40")
