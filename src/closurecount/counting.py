@@ -45,7 +45,7 @@ from typing import Iterator, NamedTuple, Optional
 from .bitset import ElementSet, bits, mask_of, size
 from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
-from .errors import EmptyPosetError
+from .errors import EmptyPosetError, digits
 from .formulas import count_special
 from .isolated import (IsoKind, find_max_bottleneck_isos, find_max_summit_isos,
                        quotient_by)
@@ -167,7 +167,8 @@ def _structure(p: Poset) -> tuple:
         level.sort(key=lambda x: (sorted(map(label.__getitem__, pred[x])),
                                   len(p.cover_succ[x])))
         label.update(zip(level, range(len(label), p.n)))
-    return p.n, frozenset([(label[u], label[v]) for u, v in p.covers])
+    return p.n, frozenset([(label[u], label[v])
+                           for u, ups in enumerate(p.cover_succ) for v in ups])
 
 
 def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
@@ -185,7 +186,7 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     suborders (they are structural): it reuses the node, visiting no
     states, so `cap` bounds counted leaves. Constrained parts skip this."""
     # every system contains every element maximal in s
-    t &= ~mask_of(x for x in bits(t) if not p.reach[x] & s)
+    t &= ~mask_of(x for x in bits(t) if not (p.up_incl[x] ^ (1 << x)) & s)
     t_orig = _originals(origin, t)
     special = count_special(p, t, s)
     if special is not None:
@@ -194,7 +195,7 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     if s != p.full_mask:
         p, idmap = p.restrict(s)
         t, origin = _mapped(idmap, t, origin)
-    gate, key = (p.n, len(p.covers)), None
+    gate, key = (p.n, sum(map(len, p.cover_succ))), None
     if not t and gate in leaves:
         keyed, unkeyed = leaves[gate]
         keyed.update((_structure(q), node) for q, node in unkeyed)
@@ -278,19 +279,6 @@ def bruteforce_candidates(trace: DecompositionTrace) -> int:
     """Total leaf search space under this node: the sum of 2^(free
     elements) over its "brute" leaves."""
     return sum(n.search_space for n in trace_nodes(trace) if n.kind == "brute")
-
-
-def digits(value: int, spec: str = "") -> str:
-    """value in decimal, formatted by spec (say "," for thousands
-    separators), however many digits it has. An int refuses to format
-    past sys.get_int_max_str_digits(), a guard meant for parsing untrusted
-    text; decimal.Decimal converts exactly past it. It is imported only
-    then, since the import adds a few ms to every process."""
-    try:
-        return format(value, spec)
-    except ValueError:
-        from decimal import Decimal
-        return format(Decimal(value), spec)
 
 
 def explain(trace: DecompositionTrace) -> str:

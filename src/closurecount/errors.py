@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the quoting of input
-in their messages."""
+"""Exception types shared across the package, the quoting of input in
+their messages, and the decimal text of an int of any size."""
 
 from __future__ import annotations
 
@@ -8,12 +8,20 @@ def excerpt(value, limit: int = 32) -> str:
     """repr of value (a str quoted, an int in decimal), cut down to its two
     ends once it is longer than `limit` characters, so that a message
     quoting outside input stays one short line."""
+    return shorten(digits(value) if type(value) is int else repr(value), limit)
+
+
+def digits(value: int, spec: str = "") -> str:
+    """value in decimal, formatted by spec (say "," for thousands
+    separators), however many digits it has. An int refuses to format
+    past sys.get_int_max_str_digits(), a guard meant for parsing untrusted
+    text; decimal.Decimal converts exactly past it. It is imported only
+    then, since the import adds a few ms to every process."""
     try:
-        text = repr(value)
-    except ValueError:  # an int past the int/str digit limit
+        return format(value, spec)
+    except ValueError:
         from decimal import Decimal
-        text = str(Decimal(value))
-    return shorten(text, limit)
+        return format(Decimal(value), spec)
 
 
 def shorten(text: str, limit: int) -> str:

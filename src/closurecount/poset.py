@@ -1,10 +1,11 @@
 """Finite partially ordered sets stored as Hasse diagrams.
 
 A poset on elements 0..n-1 is built from arbitrary order relations (u, v)
-meaning u < v. The constructor checks acyclicity, computes strict
-reachability as one bitmask per element, and keeps only the cover relation
-(the transitive reduction, which is unique for finite orders). All set-valued
-queries speak bitmasks; see bitset.ElementSet.
+meaning u < v. The constructor checks acyclicity, computes each element's
+up-set and down-set (itself included) as one bitmask apiece, and keeps the
+cover relation (the transitive reduction, which is unique for finite orders)
+as lists of upper and lower covers. All set-valued queries speak bitmasks;
+see bitset.ElementSet.
 """
 
 from __future__ import annotations
@@ -17,16 +18,19 @@ from .bitset import ElementSet, bits, mask_of, size
 from .errors import CycleError, EmptySetError, excerpt
 
 
-# Largest element count accepted: reach, up_incl, down and down_incl each
-# hold n masks of n bits, n^2/8 bytes apiece, which is 32 MiB each here.
+# Largest element count accepted: up_incl and down_incl each hold n masks of
+# up to n bits, n^2/8 bytes apiece, 32 MiB each here. A chain fills one and
+# half the other: chain:16384 keeps 55 MiB (tracemalloc), and counting it
+# peaks at 92 MiB of resident memory (CPython 3.11, ru_maxrss).
 MAX_ELEMENTS = 1 << 14
 
 
 # Largest number of relation pairs accepted; the element limit does not bound
-# them (stacked:2:antichain:8192 has 2^26). The constructor keeps each pair
-# in two sets and each cover as a tuple in `covers`: stacked:2:antichain:512
-# (2^18 pairs, all covers) grows the resident memory by 100 MiB on CPython
-# 3.11, about 400 bytes a pair, the order of the four mask tables above.
+# them (stacked:2:antichain:8192 has 2^26). The constructor holds each pair in
+# two sets while it runs and keeps no cover pairs, only the cover lists:
+# stacked:2:antichain:512 (2^18 pairs, all covers) peaks 67 MiB above its
+# start and keeps 12 MiB (tracemalloc); counting it peaks at 84 MiB of
+# resident memory, 15 MiB of them the interpreter's (CPython 3.11).
 MAX_EDGES = 1 << 18
 
 
@@ -89,15 +93,15 @@ class Poset:
 
     Attributes (treat all as read-only):
       n            element count
-      covers       frozenset of cover pairs (u, v), u covered by v
       topo         one fixed linear extension (lexicographically smallest)
-      reach        reach[x]: bitmask of y with x < y
-      up_incl      up_incl[x] = reach[x] | {x}
-      down         down[x]: bitmask of y with y < x
-      down_incl    down[x] | {x}
+      up_incl      up_incl[x]: bitmask of y with x <= y
+      down_incl    down_incl[x]: bitmask of y with y <= x
       cover_succ   upper covers of x, ascending tuple
       cover_pred   lower covers of x, ascending tuple
       full_mask, maximal_mask, minimal_mask   all, maximal, minimal elements
+
+    The strict up-set of x is up_incl[x] ^ (1 << x). `covers`, the frozenset
+    of cover pairs, is derived from cover_succ on each read.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple]):
@@ -118,43 +122,38 @@ class Poset:
 
         self.topo = self._toposort(succ_in, pred_in)
 
-        reach = [0] * n
+        up = [0] * n
         for u in reversed(self.topo):
-            acc = 0
+            acc = 1 << u
             for w in succ_in[u]:
-                acc |= (1 << w) | reach[w]
-            reach[u] = acc
-        self.reach = tuple(reach)
-        self.up_incl = tuple(reach[x] | (1 << x) for x in range(n))
+                acc |= up[w]
+            up[u] = acc
+        self.up_incl = tuple(up)
 
         down = [0] * n
         for v in self.topo:
-            acc = 0
+            acc = 1 << v
             for u in pred_in[v]:
-                acc |= (1 << u) | down[u]
+                acc |= down[u]
             down[v] = acc
-        self.down = tuple(down)
-        self.down_incl = tuple(down[x] | (1 << x) for x in range(n))
+        self.down_incl = tuple(down)
 
         cover_succ = []
-        covers = []
         pred = [[] for _ in range(n)]  # ascending, since u ascends
         for u in range(n):
             succ = succ_in[u]
             implied = 0
             for w in succ:
-                implied |= reach[w]
+                implied |= up[w] ^ (1 << w)
             ups = tuple(sorted([v for v in succ if not (implied >> v) & 1]))
             cover_succ.append(ups)
             for v in ups:
-                covers.append((u, v))
                 pred[v].append(u)
         self.cover_succ = tuple(cover_succ)
-        self.covers = frozenset(covers)
         self.cover_pred = tuple(map(tuple, pred))
 
-        self.maximal_mask = mask_of(x for x in range(n) if not reach[x])
-        self.minimal_mask = mask_of(x for x in range(n) if not down[x])
+        self.maximal_mask = mask_of(x for x in range(n) if not cover_succ[x])
+        self.minimal_mask = mask_of(x for x in range(n) if not pred[x])
 
     def _toposort(self, succ_in, pred_in) -> tuple:
         n = self.n
@@ -174,13 +173,18 @@ class Poset:
             raise CycleError(_find_cycle(pred_in, leftover))
         return tuple(order)
 
+    @property
+    def covers(self) -> frozenset:
+        """Cover pairs (u, v), u covered by v."""
+        return frozenset([(u, v) for u, ups in enumerate(self.cover_succ) for v in ups])
+
     # --- order queries ---
 
     def leq(self, x: int, y: int) -> bool:
-        return x == y or bool((self.reach[x] >> y) & 1)
+        return bool((self.up_incl[x] >> y) & 1)
 
     def lt(self, x: int, y: int) -> bool:
-        return bool((self.reach[x] >> y) & 1)
+        return x != y and bool((self.up_incl[x] >> y) & 1)
 
     def interval(self, a: int, b: int) -> ElementSet:
         """All x with a <= x <= b; empty when a <= b fails."""
@@ -193,7 +197,7 @@ class Poset:
         x, below = None, s
         while below:
             x = (below & -below).bit_length() - 1
-            below = self.down[x] & s
+            below = (self.down_incl[x] ^ (1 << x)) & s
         return x if s and self.up_incl[x] & s == s else None
 
     def greatest_element_of(self, s: ElementSet) -> Optional[int]:
@@ -202,7 +206,7 @@ class Poset:
         x, above = None, s
         while above:
             x = above.bit_length() - 1
-            above = self.reach[x] & s
+            above = (self.up_incl[x] ^ (1 << x)) & s
         return x if s and self.down_incl[x] & s == s else None
 
     def least_element(self) -> Optional[int]:
@@ -221,7 +225,7 @@ class Poset:
     def is_antichain(self, s: ElementSet) -> bool:
         """True iff the members of s are pairwise incomparable."""
         for x in bits(s):
-            if s & (self.reach[x] | self.down[x]):
+            if s & (self.up_incl[x] | self.down_incl[x]) != 1 << x:
                 return False
         return True
 
@@ -271,7 +275,7 @@ class Poset:
         idmap = tuple(bits(s))
         new_id = {x: i for i, x in enumerate(idmap)}
         cover_succ = self.cover_succ
-        reach = self.reach
+        up_incl = self.up_incl
         edges = []
         for i, x in enumerate(idmap):
             seen = 0
@@ -280,7 +284,7 @@ class Poset:
                 for y in cover_succ[stack.pop()]:
                     if (s >> y) & 1:
                         edges.append((i, new_id[y]))
-                    elif reach[y] & s and not (seen >> y) & 1:
+                    elif up_incl[y] & s and not (seen >> y) & 1:
                         seen |= 1 << y
                         stack.append(y)
         return Poset(len(idmap), edges), idmap
@@ -330,10 +334,10 @@ class Poset:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poset):
             return NotImplemented
-        return self.n == other.n and self.covers == other.covers
+        return self.n == other.n and self.cover_succ == other.cover_succ
 
     def __hash__(self) -> int:
-        return hash((self.n, self.covers))
+        return hash((self.n, self.cover_succ))
 
     def __repr__(self) -> str:
         return f"Poset(n={self.n}, covers={sorted(self.covers)})"

@@ -48,7 +48,7 @@ def least_bottleneck(p: Poset, x: int) -> Optional[int]:
         return None
     b = ups[0]
     span = p.interval(x, b)
-    if p.lt(x, b) and p.is_chain(span) and not p.reach[x] & ~(span | p.reach[b]):
+    if p.lt(x, b) and p.is_chain(span) and not p.up_incl[x] & ~(span | p.up_incl[b]):
         return b
     return None
 

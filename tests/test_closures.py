@@ -148,11 +148,11 @@ class TestBruteForceCounts:
             count_closure_systems_bruteforce(p, cap=(1 << 12) + 8)
         assert peak((1 << 12) + 8) < 0.6 * peak(None)
 
-    def test_vectorized_kernel_agrees_with_pure_loop(self):
-        # the leaf counting kernel (the frontier DP, which replaced the
-        # numpy kernel of this name) against the enumerator's subset loop,
-        # also on posets with diamonds glued on, whose bottoms take the
-        # kernel's several-cover step, with and without required elements
+    def test_frontier_dp_agrees_with_enumerator(self):
+        # the leaf counter, a DP over frontier states, against the
+        # enumerator's subset loop, also on posets with diamonds glued on,
+        # whose bottoms take the DP's several-cover step, with and without
+        # required elements
         rng = random.Random(6)
         for seed in (3, 4, 5):
             for _, p in [*random_posets(seed=seed, count=12, max_n=9),
@@ -161,9 +161,9 @@ class TestBruteForceCounts:
                 assert count_closure_systems_bruteforce(p) == oracle_count(p)
                 assert count_closure_systems_bruteforce(p, t) == oracle_count(p, t)
 
-    def test_vectorized_threshold_instance(self):
-        # 15 free elements, 2^15 subsets: the instance that used to cross the
-        # numpy threshold; the DP keeps one frontier slot throughout
+    def test_frontier_dp_long_chain(self):
+        # 15 free elements, 2^15 subsets, all counted while the frontier DP
+        # keeps one slot throughout
         assert count_closure_systems_bruteforce(chain(16)) == 2 ** 15
 
     def test_import_leaves_numpy_out(self):

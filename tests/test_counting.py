@@ -27,7 +27,7 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
 from closurecount.bitset import size
 from closurecount import counting
 from closurecount.counting import _count, _run, _structure, bruteforce_candidates, digits
-from closurecount.errors import EmptyPosetError
+from closurecount.errors import EmptyPosetError, excerpt
 from closurecount.formulas import count_special
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
                                      random_connected_poset, random_submask, stacked)
@@ -623,7 +623,7 @@ class TestNestedSuborders:
         assert is_isolated_suborder(p, s) and size(s) == iso.n
         cuts = sorted((w for w in bits(s)
                        if all(p.leq(w, x) or p.leq(x, w) for x in bits(s))),
-                      key=lambda w: size(p.down[w]))
+                      key=lambda w: size(p.down_incl[w]))
         assert len(cuts) > 5
         parts = [p.interval(v, w) for v, w in zip(cuts, cuts[1:])]
         inside = root.children[1]
@@ -717,6 +717,12 @@ class TestExplain:
         head, value = text.rsplit(" ", 1)
         assert head == "chain n=15000 ->" and len(value) == 4516
         assert Decimal(value) == Decimal(2 ** 14999)
+
+    def test_excerpt_past_the_int_to_str_digit_limit(self):
+        # a quote of a 5,000-digit int reads its two ends through digits
+        value = 7 ** 5916
+        assert excerpt(value) == "3981115012675544...9698446870109601 (5000 characters)"
+        assert excerpt(-value, 20) == "-398111501...6870109601 (5001 characters)"
 
     def test_repr_reads_like_the_named_tuple_default(self):
         assert repr(count_closures(chain(2))) == (

@@ -143,10 +143,11 @@ class TestShapesOnMasks:
         a, b = rng.randrange(p.n), rng.randrange(p.n)
         drawn = rng.getrandbits(p.n)
         belt, lower = 0, p.full_mask
-        for x in bits(p.down[b]):
-            if not (p.reach[x] | p.down[x]) & belt and lower & p.down[x]:
+        for x in bits(p.down_incl[b] ^ (1 << b)):
+            below = p.down_incl[x] ^ (1 << x)
+            if not (p.up_incl[x] | below) & belt and lower & below:
                 belt |= 1 << x
-                lower &= p.down[x]
+                lower &= below
         s = rng.choice([drawn, p.interval(a, b), belt | 1 << b,
                         belt | 1 << b | lower & -lower, *pieces]) or 1 << a
         t = rng.getrandbits(p.n) & s

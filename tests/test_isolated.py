@@ -109,9 +109,9 @@ class TestLeastBottleneck:
         # above x sits in [x, b] or above b; the least such b must agree
         for _, p in random_posets(seed=41, count=40, max_n=8):
             for x in range(p.n):
-                found = [b for b in bits(p.reach[x])
+                found = [b for b in bits(p.up_incl[x] ^ (1 << x))
                          if p.is_chain(p.interval(x, b))
-                         and not p.reach[x] & ~(p.interval(x, b) | p.reach[b])]
+                         and not p.up_incl[x] & ~(p.interval(x, b) | p.up_incl[b])]
                 least = None
                 for b in found:
                     if all(p.leq(b, other) for other in found):

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, seed, settings
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from closurecount import Poset, bits, mask_of
 from closurecount.errors import CycleError, EmptySetError
+from closurecount.generators import chain, family
 from closurecount.poset import ShapeKind
 from conftest import is_convex, posets, random_posets, relabel
 
@@ -49,6 +52,14 @@ class TestConstruction:
     def test_rebuilding_from_covers_is_identity(self):
         p = Poset(5, [(0, 1), (1, 2), (0, 2), (2, 3), (2, 4), (0, 4)])
         assert Poset(p.n, p.covers) == p
+
+    def test_each_relation_is_stored_once(self):
+        # the order as inclusive masks, the Hasse diagram as cover lists;
+        # the covers set is derived from the lists
+        p = chain(5)
+        assert sorted(vars(p)) == ["cover_pred", "cover_succ", "down_incl", "full_mask",
+                                   "maximal_mask", "minimal_mask", "n", "topo", "up_incl"]
+        assert p.covers == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
 
     def test_topo_is_a_linear_extension(self):
         p = Poset(5, [(0, 2), (1, 2), (2, 3), (2, 4)])
@@ -201,6 +212,33 @@ class TestStructure:
         assert not aug.reachable_avoiding(aug.bot, aug.top, removed=0)
 
 
+class TestMemory:
+    @staticmethod
+    def retained(build):
+        # bytes still allocated once build() has returned, its result alive
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            p = build()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before, p
+        finally:
+            tracemalloc.stop()
+
+    def test_a_chain_keeps_two_mask_tables(self):
+        # a chain's up_incl[x] has n bits and its down_incl[x] x + 1, so the
+        # two tables hold 1.5 n^2/8 bytes of bits
+        n = 4096
+        kept, p = self.retained(lambda: chain(n))
+        assert p.n == n and kept < 3 * n * n / 8
+
+    def test_covers_are_not_kept_as_pairs(self):
+        # 2^14 covers between two antichains of 128
+        kept, p = self.retained(lambda: family("stacked:2:antichain:128"))
+        assert len(p.covers) == 1 << 14 and kept < 1 << 20
+
+
 class TestEqualityAndRepr:
     def test_equal_covers_are_equal_posets(self):
         p = Poset(3, [(0, 1), (1, 2), (0, 2)])
@@ -265,9 +303,9 @@ class TestRandomizedInvariants:
     def test_leq_is_a_partial_order(self, p):
         for x in range(p.n):
             assert p.leq(x, x)
-            for y in bits(p.reach[x]):
+            for y in bits(p.up_incl[x] ^ (1 << x)):
                 assert not p.leq(y, x)  # antisymmetry
-                for z in bits(p.reach[y]):
+                for z in bits(p.up_incl[y] ^ (1 << y)):
                     assert p.leq(x, z)  # transitivity
 
     @settings(max_examples=120, deadline=None)
@@ -275,7 +313,7 @@ class TestRandomizedInvariants:
     def test_reach_matches_cover_paths(self, p):
         # recompute reachability naively from the cover graph
         for x in range(p.n):
-            seen = set()
+            seen = {x}
             stack = [x]
             while stack:
                 u = stack.pop()
@@ -283,7 +321,7 @@ class TestRandomizedInvariants:
                     if v not in seen:
                         seen.add(v)
                         stack.append(v)
-            assert p.reach[x] == mask_of(seen)
+            assert p.up_incl[x] == mask_of(seen)
 
     @settings(max_examples=100, deadline=None)
     @given(posets())
