@@ -6,10 +6,9 @@ preferring structure over enumeration, in this order:
   1. disconnected posets: product over components, only ever at the root,
      since every sub-problem of a connected poset is connected;
   2. recognized shapes (chain, diamond, bottomless diamond): closed formula;
-     a sub-problem is a mask of the poset it came from (a component, a
-     part between cut points or a summit quotient) and its shape is read
-     off that poset's masks, so it is restricted to a Poset of its own
-     only when no formula applies, for the detection and the leaf below;
+     every sub-problem is a mask of the input (a component, a part between
+     cut points or a quotient, each collapsed suborder kept as its bottom)
+     and its shape is read off the input's masks;
   3. every useful maximal summit suborder S'_i disjoint from t, at once:
      C(P) = C(Q) x C(S'_1) x ... x C(S'_k), since C must meet each S'_i;
      the quotient Q is the mask of P on the rest plus each bottom, which
@@ -24,11 +23,17 @@ preferring structure over enumeration, in this order:
      systems of S' (the bottleneck above rescues least majorizers), and
      those avoiding it C(Q, t) - C(Q, t + {c}); one S' per node, so
      bottleneck siblings still split one per level;
+     the suborders of steps 3 and 4 are found once per count, by one
+     detection pass over the input (isolated._family), and each
+     sub-problem reads its own off that pass (isolated._sweep), in input
+     ids; each is checked against the definition on the input, expanded
+     to its class, as quotient_by collapses it;
   5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
      DP over a reverse linear extension), refused once it has visited more
-     than `cap` states (cap=None lifts the budget); an unconstrained leaf
-     isomorphic to one already counted in this count reuses its node, from
-     a per-call cache keyed by the leaf's order relabelled structurally.
+     than `cap` states (cap=None lifts the budget); only a leaf becomes a
+     Poset of its own (restrict), and an unconstrained leaf isomorphic to
+     one already counted in this count reuses its node, from a per-call
+     cache keyed by the leaf's order relabelled structurally.
 
 Every path is validated against enumerate_closure_systems in the test
 suite; neither the decomposition nor the leaf counter is trusted on its
@@ -47,8 +52,9 @@ from .closures import (DEFAULT_BRUTE_CAP, bruteforce_search_space,
                        count_closure_systems_bruteforce)
 from .errors import EmptyPosetError, digits
 from .formulas import count_special
-from .isolated import (IsoKind, find_max_bottleneck_isos, find_max_summit_isos,
-                       quotient_by)
+# the public finders stay importable here, where perfbench/layers.py wraps them
+from .isolated import (IsoKind, _family, _sweep, find_max_bottleneck_isos,  # noqa: F401
+                       find_max_summit_isos, quotient_by)
 from .poset import Poset, Shape
 
 
@@ -94,11 +100,14 @@ class DecompositionTrace(NamedTuple):
     isos are the suborders a split collapses, each counted in a child
     after the first; a "bottleneck" node on S' has the children
     C(Q, t + {c}), C(S'), C(Q, t) and the value C(Q, t) + 2 (|C(S')| - 1)
-    x C(Q, t + {c}) (module docstring, step 4). iso_original, their union,
-    and t_original are masks in the ids of the original poset the count
-    was asked about, so disjointness is auditable after nested quotients
-    renumber everything; search_space is 2^(free elements) of a "brute"
-    leaf, the subsets the enumerator would examine there.
+    x C(Q, t + {c}) (module docstring, step 4). Every id is one of the
+    poset the count was asked about: an iso's p.interval(bottom, top) is
+    the isolated suborder of that poset it collapses, and its members and
+    cuts are the sub-problem's elements in it, a collapsed class counted
+    once, by its bottom. iso_original, the union of their classes, and
+    t_original, t with each class expanded, are masks of that poset, so
+    disjointness is auditable; search_space is 2^(free elements) of a
+    "brute" leaf, the subsets the enumerator would examine there.
     """
 
     kind: str
@@ -119,6 +128,19 @@ class CountResult(NamedTuple):
     __repr__ = _repr
 
 
+class _Count(NamedTuple):
+    """What the sub-problems of one count share: the input poset p, its
+    detection pass (isolated._family), the state budget, the store of
+    unconstrained leaves (_count) and the last leaf built, as [its mask,
+    the Poset, the idmap]."""
+
+    p: Poset
+    family: tuple
+    cap: Optional[int]
+    leaves: dict
+    built: list
+
+
 def count_closures(p: Poset, t: ElementSet = 0, *,
                    cap: Optional[int] = DEFAULT_BRUTE_CAP) -> CountResult:
     """Count the closure systems of p containing t (an element mask).
@@ -133,22 +155,15 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
         raise ValueError(f"constraint mask {t:#x} has bits outside the poset")
     if cap is not None and cap < 0:
         raise ValueError(f"state budget must be nonnegative, got {cap}")
-    origin = tuple(1 << x for x in range(p.n))
-    leaves = {}  # the unconstrained "brute" leaves of this count, see _count
+    c = _Count(p, _family(p), cap, {}, [p.full_mask, p, tuple(range(p.n))])
     # every system contains every maximal element
-    trace = _run(_product("components", p, p.connected_components(),
-                          t & ~p.maximal_mask, origin, cap, leaves))
+    trace = _run(_product(c, "components", p.connected_components(),
+                          t & ~p.maximal_mask, tuple(1 << x for x in range(p.n))))
     return CountResult(trace.value, trace)
 
 
 def _originals(origin: tuple, mask: ElementSet) -> ElementSet:
     return reduce(lambda acc, x: acc | origin[x], bits(mask), 0)
-
-
-def _mapped(idmap: tuple, t: ElementSet, origin: tuple) -> tuple:
-    """t and origin taken through a restrict's idmap."""
-    return (mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1),
-            tuple(origin[x] for x in idmap))
 
 
 def _structure(p: Poset) -> tuple:
@@ -171,20 +186,22 @@ def _structure(p: Poset) -> tuple:
                            for u, ups in enumerate(p.cover_succ) for v in ups])
 
 
-def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
-           cap: Optional[int], leaves: dict):
-    """Count the connected suborder of p on the mask s, t within s; t and
-    origin are in p's ids. A generator for _run: it yields each
-    sub-problem and returns its DecompositionTrace. A shape is read off
-    p's masks; only a part that has none becomes a Poset of its own, for
-    detection and the leaf. Every sub-problem below is connected too.
+def _count(c: _Count, s: ElementSet, t: ElementSet, origin: tuple):
+    """Count the connected suborder of the input c.p on the mask s, t
+    within s. Each member x stands for its class origin[x], a collapsed
+    isolated suborder of the input with bottom x. A generator for _run: it
+    yields each sub-problem and returns its DecompositionTrace. Shapes and
+    suborders are read off the input's masks and its detection pass; only
+    a leaf becomes a Poset of its own, restricted once however often it is
+    counted in a row. Every sub-problem below is connected too.
 
     leaves files this count's unconstrained "brute" nodes under the gate
     (n, number of covers) as ({_structure: node}, [the first (p, node),
-    until a second part of its gate keys it]). An unconstrained part
-    isomorphic to a leaf shares its value, search space and lack of usable
-    suborders (they are structural): it reuses the node, visiting no
-    states, so `cap` bounds counted leaves. Constrained parts skip this."""
+    until a second part of its gate keys it]). An unconstrained leaf
+    isomorphic to one already counted shares its value and search space
+    (they are structural): it reuses the node, visiting no states, so
+    `cap` bounds counted leaves. Constrained leaves skip this."""
+    p = c.p
     # every system contains every element maximal in s
     t &= ~mask_of(x for x in bits(t) if not (p.up_incl[x] ^ (1 << x)) & s)
     t_orig = _originals(origin, t)
@@ -192,76 +209,72 @@ def _count(p: Poset, s: ElementSet, t: ElementSet, origin: tuple,
     if special is not None:
         return DecompositionTrace("special", special.value, size(s),
                                   shape=special.shape, t_original=t_orig)
-    if s != p.full_mask:
-        p, idmap = p.restrict(s)
-        t, origin = _mapped(idmap, t, origin)
+    for kind in IsoKind.SUMMIT, IsoKind.BOTTLENECK:
+        isos = tuple(iso for iso in _sweep(p, c.family, kind, s, origin) if not iso.members & t)
+        if not isos:
+            continue
+        if kind is IsoKind.BOTTLENECK:
+            isos = (max(isos, key=lambda iso: (iso.n, -iso.bottom)),)
+        classes = list(origin)  # a bottom stands for its class, all of its S'
+        for iso in isos:
+            classes[iso.bottom] = p.interval(iso.bottom, iso.top)
+        iso_orig = _originals(classes, mask_of(iso.bottom for iso in isos))
+        # each class, in input ids, is checked against the definition
+        q = quotient_by(p, *(iso._replace(members=classes[iso.bottom]) for iso in isos)) & s
+        assert q != s
+        # each inside is a product over the parts between its cut points
+        # (step 3); a part's top stands for the class and keeps its origin
+        insides = []
+        for iso in isos:
+            parts = [p.interval(v, w) & s for v, w in zip(iso.cuts, iso.cuts[1:])]
+            insides.append((yield _product(c, "cuts", parts, 0, origin)))
+        if kind is IsoKind.SUMMIT:
+            quot = yield _count(c, q, t, tuple(classes))
+            value = quot.value * prod(inside.value for inside in insides)
+            children = (quot, *insides)
+        else:
+            meeting = yield _count(c, q, t | 1 << isos[0].bottom, tuple(classes))
+            whole = yield _count(c, q, t, tuple(classes))
+            value = meeting.value * 2 * (insides[0].value - 1) + whole.value
+            children = (meeting, *insides, whole)
+        return DecompositionTrace(kind.value, value, size(s), children, isos=isos,
+                                  iso_original=iso_orig, t_original=t_orig)
+
+    if c.built[0] != s:
+        c.built[:] = s, *p.restrict(s)
+    _, p, idmap = c.built
+    t = t and mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
     gate, key = (p.n, sum(map(len, p.cover_succ))), None
-    if not t and gate in leaves:
-        keyed, unkeyed = leaves[gate]
+    if not t and gate in c.leaves:
+        keyed, unkeyed = c.leaves[gate]
         keyed.update((_structure(q), node) for q, node in unkeyed)
         unkeyed.clear()
         key = _structure(p)
         if key in keyed:
             return keyed[key]
-
-    for finder in (find_max_summit_isos, find_max_bottleneck_isos):
-        isos = tuple(iso for iso in finder(p) if not iso.members & t)
-        if not isos:
-            continue
-        kind = isos[0].kind
-        if kind is IsoKind.BOTTLENECK:
-            isos = (max(isos, key=lambda c: (c.n, -c.bottom)),)
-        q = quotient_by(p, *isos)
-        assert q != p.full_mask
-        # a bottom stands for its class, so its origin is all of its S'
-        classes, iso_orig = list(origin), 0
-        for iso in isos:
-            classes[iso.bottom] = _originals(origin, iso.members)
-            iso_orig |= classes[iso.bottom]
-        # each inside is a product over the parts between its cut points
-        # (step 3); a part's top stands for the class and keeps its origin
-        insides = []
-        for iso in isos:
-            parts = [p.interval(v, w) for v, w in zip(iso.cuts, iso.cuts[1:])]
-            insides.append((yield _product("cuts", p, parts, 0, origin, cap, leaves)))
-        if kind is IsoKind.SUMMIT:
-            quot = yield _count(p, q, t, tuple(classes), cap, leaves)
-            value = quot.value * prod(c.value for c in insides)
-            children = (quot, *insides)
-        else:  # both children count the quotient: restrict it once
-            q, idmap = p.restrict(q)
-            q_t, q_origin = _mapped(idmap, t, classes)
-            meeting = yield _count(q, q.full_mask, q_t | 1 << idmap.index(isos[0].bottom),
-                                   q_origin, cap, leaves)
-            whole = yield _count(q, q.full_mask, q_t, q_origin, cap, leaves)
-            value = meeting.value * 2 * (insides[0].value - 1) + whole.value
-            children = (meeting, *insides, whole)
-        return DecompositionTrace(kind.value, value, p.n, children, isos=isos,
-                                  iso_original=iso_orig, t_original=t_orig)
-
     space = bruteforce_search_space(p, t)
-    value = count_closure_systems_bruteforce(p, t, cap=cap)
+    value = count_closure_systems_bruteforce(p, t, cap=c.cap)
     node = DecompositionTrace("brute", value, p.n,
                               t_original=t_orig, search_space=space)
     if key is not None:
         keyed[key] = node
     elif not t:  # the first unconstrained leaf of its gate
-        leaves[gate] = ({}, [(p, node)])
+        c.leaves[gate] = ({}, [(p, node)])
     return node
 
 
-def _product(kind: str, p: Poset, parts: list, t: ElementSet, origin: tuple,
-             cap: Optional[int], leaves: dict):
-    """Product of the counts of p's suborders on each part, t restricted
-    with it, as a generator for _run; a single part's own node. The parts
-    are the components of p, whose systems combine independently, or the
-    intervals between a suborder's cut points (_count)."""
+def _product(c: _Count, kind: str, parts: list, t: ElementSet, origin: tuple):
+    """Product of the counts of the input's suborders on each part, t
+    restricted with it, as a generator for _run; a single part's own node.
+    The parts are the components of the input, whose systems combine
+    independently, or the intervals between a suborder's cut points
+    (_count)."""
     children = []
     for part in parts:
-        children.append((yield _count(p, part, t & part, origin, cap, leaves)))
+        children.append((yield _count(c, part, t & part, origin)))
     if len(children) == 1:
         return children[0]
-    return DecompositionTrace(kind, prod(c.value for c in children),
+    return DecompositionTrace(kind, prod(child.value for child in children),
                               size(reduce(or_, parts)), children=tuple(children),
                               t_original=_originals(origin, t))
 

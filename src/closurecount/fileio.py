@@ -27,7 +27,6 @@ class PosetFileData(NamedTuple):
     n: int
     edges: list
     labels: Optional[list]
-    fmt: str  # "edges" or "json"
 
 
 def parse_poset_text(text: str) -> PosetFileData:
@@ -81,7 +80,7 @@ def _parse_edge_text(text: str) -> PosetFileData:
         edges.append((u, v))
     if n is None:
         raise ParseError("empty input: no element count found")
-    return PosetFileData(n, edges, None, "edges")
+    return PosetFileData(n, edges, None)
 
 
 def _parse_json(text: str) -> PosetFileData:
@@ -121,7 +120,7 @@ def _parse_json(text: str) -> PosetFileData:
         if (not isinstance(labels, list) or len(labels) != n
                 or not all(isinstance(x, str) for x in labels)):
             raise ParseError(f'"labels" must be an array of {n} strings')
-    return PosetFileData(n, edges, labels, "json")
+    return PosetFileData(n, edges, labels)
 
 
 def _out_of_range(u: int, v: int, n: int) -> str:

@@ -14,7 +14,10 @@ above b, and everything below b is in [v, b] or below v. In the Hasse graph
 augmented with artificial endpoints these say that b post-dominates v and v
 dominates b, a single-entry single-exit region (Johnson, Pearson and
 Pingali, PLDI 1994). Detection walks each v's chain of post-dominators and
-tests the masks along it. Two definitional checks remain:
+tests the masks along it, once per poset (_family); the maximal suborders
+of a part of the poset, or of a quotient of one, are read off that pass
+(_sweep), so a count detects once, on its input, and the finders below
+are that sweep over the whole poset. Two definitional checks remain:
 is_isolated_suborder tests the definition itself, and is_separator tests
 the separator characterization by a path search. The cut points of [v, b]
 (the members comparable to all members, so on every path from v to b),
@@ -81,13 +84,13 @@ def is_separator(aug: AugmentedPoset, u: int, s: int, t: int) -> bool:
     return not aug.reachable_avoiding(s, t, removed=u)
 
 
-def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
-    """Shared search: for each bottom v keep the highest candidate top b > v
-    such that [v, b] is isolated, drop the whole poset, then drop results
-    contained in another. The intervals [v, best[v]] nest or are disjoint
-    (overlapping ones would make a longer one isolated from the lower
-    bottom), so a sweep in topological order drops exactly the intervals
-    whose bottom an interval kept before it covers.
+def _family(p: Poset) -> tuple:
+    """The detection pass over p, once per poset: (ipdom, rank, {kind:
+    (bottoms, best)}). ipdom[v] is v's immediate post-dominator (p.n for
+    none), rank[v] v's place in p.topo, best[v] the highest top b > v of
+    the kind with [v, b] isolated, or None, and bottoms the mask of the v
+    that have one. A summit top is maximal in p, a bottleneck top has
+    exactly one upper cover.
 
     [v, b] is isolated iff everything above v is in it or above b (b
     post-dominates v: every path up from v meets b) and everything below b
@@ -100,62 +103,86 @@ def _max_isos(p: Poset, candidate_tops, kind: IsoKind) -> list:
     """
     n = p.n
     up, down = p.up_incl, p.down_incl
-    ipdom = [n] * n
+    # Walking up from v may jump from a chain node b straight to stop[b],
+    # the first node of b's chain that b does not dominate: v dominates b,
+    # so it dominates everything b does. last[b] is the highest bottleneck
+    # top from b itself up to below stop[b], best[v] the highest above v.
+    # A summit top ends its chain, at end[v]: the best one is end[v] when
+    # the walk reaches it.
+    ipdom, stop, end, last = [n] * n, [n] * n, [n] * n, [None] * n
+    best_s, best_b, has_s, has_b = [None] * n, [None] * n, 0, 0
     for v in reversed(p.topo):
         covers = p.cover_succ[v]
-        if len(covers) == 1:
-            ipdom[v] = covers[0]
-        elif covers:
-            b = ipdom[covers[0]]
-            while b != n and up[v] & down[b] | up[b] != up[v]:
-                b = ipdom[b]
-            ipdom[v] = b
-    tops = set(candidate_tops)
-    # Walking from v may jump from a chain node b straight to stop[b], the
-    # first node of b's chain that b does not dominate: v dominates b, so
-    # it dominates everything b does. last[b] is the highest candidate top
-    # from b itself up to below stop[b], best[v] the highest above v.
-    best = [None] * n
-    stop = [n] * n
-    last = [None] * n
-    for v in reversed(p.topo):
-        b = ipdom[v]
+        # a single upper cover is the immediate post-dominator; of several,
+        # the first is not, and the immediate post-dominator is on its chain
+        b = covers[0] if covers else n
+        while len(covers) > 1 and b != n and up[v] & down[b] | up[b] != up[v]:
+            b = ipdom[b]
+        ipdom[v] = b
         while b != n and up[v] & down[b] | down[v] == down[b]:
             if last[b] is not None:
-                best[v] = last[b]
+                best_b[v] = last[b]
             b = stop[b]
         stop[v] = b
-        last[v] = v if best[v] is None and v in tops else best[v]
+        end[v] = v if ipdom[v] == n else end[ipdom[v]]
+        if b == n and end[v] != v and not p.cover_succ[end[v]]:
+            best_s[v] = end[v]
+            has_s |= 1 << v
+        if best_b[v] is not None:
+            has_b |= 1 << v
+        last[v] = v if best_b[v] is None and len(covers) == 1 else best_b[v]
+    rank = {v: i for i, v in enumerate(p.topo)}
+    return ipdom, rank, {IsoKind.SUMMIT: (has_s, best_s), IsoKind.BOTTLENECK: (has_b, best_b)}
+
+
+def _sweep(p: Poset, family: tuple, kind: IsoKind, s: ElementSet, origin: tuple) -> list:
+    """The inclusion-maximal isolated suborders of `kind` of the suborder
+    on the mask s of p, read off p's detection pass (_family). Each member
+    x of s stands for its class origin[x], an isolated suborder of p with
+    bottom x, and the classes together make up a convex set of p.
+
+    They are the intervals [v, best[v]] of p with v in s that lie in the
+    classes and cut none of them, holding two or more members of s, s
+    itself excluded, kept where maximal; an iso's members and cuts are
+    those in s, so p.interval(bottom, top) is its class. The intervals
+    nest or are disjoint (overlapping ones would make a longer one
+    isolated from the lower bottom), so a sweep in topological order drops
+    exactly those whose bottom a kept one covers. The cut points of
+    [v, b], the members comparable to every member, are v's chain up to
+    b; since a class is entered only at its bottom and left only at its
+    top, [v, b] lies in the classes and cuts none iff b is the top of the
+    class of its last cut point in s.
+    """
+    ipdom, rank, (bottoms, best) = family[0], family[1], family[2][kind]
     kept, covered = [], 0
-    for v in p.topo:
+    for v in sorted(bits(s & bottoms), key=rank.__getitem__):
         b = best[v]
-        if b is None or (covered >> v) & 1:
+        members = p.interval(v, b) & s
+        if (covered >> v) & 1 or members == s or size(members) < 2:
             continue
-        members = p.interval(v, b)
-        if members != p.full_mask:
-            # the members comparable to every member: v's chain up to b
-            cuts = [v]
-            while cuts[-1] != b:
-                cuts.append(ipdom[cuts[-1]])
+        cuts, x = [v], v
+        while x != b:
+            x = ipdom[x]
+            if (s >> x) & 1:
+                cuts.append(x)
+        if origin[cuts[-1]] & p.up_incl[b] == 1 << b:
             kept.append(IsolatedSuborder(v, b, members, kind, tuple(cuts)))
             covered |= members
-    kept.sort(key=lambda iso: iso.bottom)
-    return kept
+    return sorted(kept)  # by bottom, the first field and distinct
 
 
 def find_max_bottleneck_isos(p: Poset) -> list:
     """Inclusion-maximal useful isolated suborders whose top has a
-    bottleneck. Candidate tops are the nodes with exactly one upper cover,
-    in topological order."""
-    tops = [b for b in p.topo if len(p.cover_succ[b]) == 1]
-    return _max_isos(p, tops, IsoKind.BOTTLENECK)
+    bottleneck. Candidate tops are the nodes with exactly one upper cover."""
+    return _sweep(p, _family(p), IsoKind.BOTTLENECK, p.full_mask,
+                  tuple(1 << x for x in range(p.n)))
 
 
 def find_max_summit_isos(p: Poset) -> list:
     """Inclusion-maximal useful isolated suborders whose top is maximal in
     the whole poset."""
-    tops = [b for b in p.topo if (p.maximal_mask >> b) & 1]
-    return _max_isos(p, tops, IsoKind.SUMMIT)
+    return _sweep(p, _family(p), IsoKind.SUMMIT, p.full_mask,
+                  tuple(1 << x for x in range(p.n)))
 
 
 def quotient_by(p: Poset, *isos: IsolatedSuborder) -> ElementSet:

@@ -10,10 +10,13 @@ from __future__ import annotations
 
 import inspect
 import random
+import re
 import time
 from decimal import Decimal
+from functools import reduce
 from itertools import permutations
 from math import prod
+from operator import or_
 
 import pytest
 from hypothesis import given, seed, settings
@@ -25,13 +28,14 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           find_max_bottleneck_isos, find_max_summit_isos,
                           is_isolated_suborder, mask_of, quotient_by, trace_nodes)
 from closurecount.bitset import size
-from closurecount import counting
-from closurecount.counting import _count, _run, _structure, bruteforce_candidates, digits
+from closurecount import counting, isolated
+from closurecount.counting import (_Count, _count, _run, _structure, bruteforce_candidates,
+                                   digits)
 from closurecount.errors import EmptyPosetError, excerpt
 from closurecount.formulas import count_special
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
                                      random_connected_poset, random_submask, stacked)
-from closurecount.isolated import IsoKind
+from closurecount.isolated import IsoKind, _family
 from closurecount.poset import AugmentedPoset
 from closurecount.selfcheck import disjointness_violations
 from conftest import (broom, glued_poset, nested, oracle_count, posets, random_poset,
@@ -183,10 +187,11 @@ class TestDispatch:
         # a part is counted on the masks of the poset it lies in; its top 4
         # is not maximal there, yet every system of the part contains it.
         # [0, 2, 4] is a chain, read off the masks; the N under 4 is not a
-        # shape, so it is restricted first
+        # shape and has no suborder to split, so it is restricted as a leaf
         p = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
         origin = tuple(1 << x for x in range(p.n))
-        node = _run(_count(p, part, mask_of([0, 4]), origin, None, {}))
+        shared = _Count(p, _family(p), None, {}, [p.full_mask, p, tuple(range(p.n))])
+        node = _run(_count(shared, part, mask_of([0, 4]), origin))
         assert node.kind == ("special" if size(part) == 3 else "brute")
         assert node.t_original == mask_of([0]) and node.n == size(part)
         sub, idmap = p.restrict(part)
@@ -539,6 +544,140 @@ class TestComponentsAtTheRoot:
         trace = count_closures(p).trace
         assert calls == [p.n]
         assert trace.kind == ("components" if name == "three towers" else "summit")
+
+
+# a summit split whose quotient splits at a bottleneck; that quotient's
+# quotient is a leaf, counted with and without the collapsed class
+BOTTLENECK_UNDER_A_SUMMIT = Poset(11, [(0, 8), (1, 4), (2, 1), (2, 3), (3, 4), (5, 8),
+                                       (6, 5), (7, 6), (8, 2), (9, 0), (9, 5), (10, 9)])
+
+
+class TestDetectionOncePerCount:
+    """A count finds the isolated suborders once, on its input
+    (isolated._family); every split reads its own off that pass in input
+    ids (isolated._sweep), and only a leaf becomes a Poset of its own."""
+
+    def test_one_detection_pass_per_count(self, monkeypatch):
+        calls = []
+        detect = counting._family
+        monkeypatch.setattr(counting, "_family", lambda p: calls.append(p.n) or detect(p))
+        for p in (nested(20), broom(4, reverse=True), three_towers(), family("stacked:12"),
+                  BOTTLENECK_UNDER_A_SUMMIT, powerset_lattice(3), chain(4)):
+            del calls[:]
+            count_closures(p)
+            assert calls == [p.n]
+
+    def test_the_counter_calls_no_public_finder(self, monkeypatch):
+        def refuse(p):
+            raise AssertionError("a public finder was called")
+
+        for module in (counting, isolated):
+            monkeypatch.setattr(module, "find_max_summit_isos", refuse)
+            monkeypatch.setattr(module, "find_max_bottleneck_isos", refuse)
+        rng = random.Random(211)
+        splits = 0
+        for _ in range(150):
+            p = glued_poset(rng, 24)[0]
+            trace = count_closures(p, random_submask(rng, p.full_mask, 3)).trace
+            splits += sum(node.kind in ("summit", "bottleneck") for node in trace_nodes(trace))
+        assert splits > 150
+
+    @pytest.mark.parametrize("k", [2, 30, 100])
+    def test_nested_levels_build_no_poset(self, monkeypatch, k):
+        # each level is a part of the last, a mask of the input
+        p = nested(k)
+        built = record_builds(monkeypatch)
+        assert count_closures(p).value == (6 ** (k + 1) - 1) // 5
+        assert built == []
+
+    def test_a_bottleneck_quotient_leaf_is_restricted_once(self, monkeypatch):
+        # the two counts of the bottleneck's quotient share one Poset, and
+        # no sub-problem above it is built for detection
+        calls = []
+        restrict = Poset.restrict
+        monkeypatch.setattr(Poset, "restrict",
+                            lambda self, s: calls.append(s) or restrict(self, s))
+        trace = count_closures(BOTTLENECK_UNDER_A_SUMMIT).trace
+        assert trace.kind == "summit" and trace.value == 784
+        split = trace.children[0]
+        assert split.kind == "bottleneck"
+        meeting, _, whole = split.children
+        assert meeting.kind == whole.kind == "brute" and meeting.n == whole.n
+        assert [size(s) for s in calls] == [meeting.n]
+
+
+def reference_sweep(p: Poset, kind: IsoKind, s: int, origin: tuple) -> list:
+    """The suborders a sub-problem split on before a count shared one
+    detection pass: restrict the sub-problem, run the public finder of the
+    kind on it, and name each suborder in input ids, as (bottom, class,
+    members, cuts), its class being the classes of its members."""
+    sub, idmap = p.restrict(s)
+    finder = find_max_summit_isos if kind is IsoKind.SUMMIT else find_max_bottleneck_isos
+    found = []
+    for iso in finder(sub):
+        members = mask_of(idmap[x] for x in bits(iso.members))
+        found.append((idmap[iso.bottom], reduce(or_, (origin[x] for x in bits(members))),
+                      members, tuple(idmap[x] for x in iso.cuts)))
+    return found
+
+
+class TestSweepAgainstTheRestrictedFinders:
+    def test_every_sub_problem_of_a_count(self, monkeypatch):
+        seen = []
+        sweep = counting._sweep
+
+        def checked(p, detection, kind, s, origin):
+            found = sweep(p, detection, kind, s, origin)
+            assert [(iso.bottom, p.interval(iso.bottom, iso.top), iso.members, iso.cuts)
+                    for iso in found] == reference_sweep(p, kind, s, origin)
+            assert all(iso.kind is kind for iso in found)
+            seen.append((s != p.full_mask, len(found)))
+            return found
+
+        monkeypatch.setattr(counting, "_sweep", checked)
+        rng = random.Random(2203)
+        cases = []
+        for i in range(1000):
+            p = glued_poset(rng, 40)[0] if i % 2 else random_poset(rng, rng.randint(1, 40))
+            cases.append((p, random_submask(rng, p.full_mask, 3)))
+        cases += [(nested(k), 0) for k in range(12)]
+        cases += [(relabel(broom(k, reverse), rng), 0) for k in (2, 5) for reverse in (False, True)]
+        cases += [(family("stacked:12"), 0), (relabel(stacked(diamond(3), 6), rng), 0),
+                  leafy_tower(rng), (three_towers(), 0)]
+        for p, t in cases:
+            try:
+                count_closures(p, t)
+            except TooLargeError:
+                pass
+        below_the_root = [found for below, found in seen if below]
+        assert len(below_the_root) > 5000 and sum(below_the_root) > 2000
+
+
+class TestExplainNamesInputIds:
+    def test_printed_suborders_are_isolated_in_the_input(self):
+        # each [bottom,top] an explain line prints, at any depth, bounds an
+        # isolated suborder of the input; its top is maximal there iff the
+        # split is a summit split
+        split = re.compile(r" *(summit|bottleneck) suborders? (.*) of [0-9, ]+ elements:")
+        rng = random.Random(4721)
+        named = nested_names = 0
+        for i in range(300):
+            p = glued_poset(rng, 30)[0] if i % 2 else random_poset(rng, rng.randint(4, 30))
+            try:
+                trace = count_closures(p, random_submask(rng, p.full_mask, 3)).trace
+            except TooLargeError:
+                continue
+            for line in explain(trace).splitlines():
+                match = split.match(line)
+                if match is None:
+                    continue
+                for bottom, top in re.findall(r"\[(\d+),(\d+)\]", match.group(2)):
+                    bottom, top = int(bottom), int(top)
+                    assert is_isolated_suborder(p, p.interval(bottom, top))
+                    assert (match.group(1) == "summit") == bool((p.maximal_mask >> top) & 1)
+                    named += 1
+                    nested_names += line.startswith(" ")
+        assert named > 300 and nested_names > 200
 
 
 class TestQuadraticPathsStayOff:

@@ -34,7 +34,7 @@ JSON_TEXT = json.dumps({
 class TestEdgeText:
     def test_basic(self):
         data = parse_poset_text(EDGE_TEXT)
-        assert (data.n, data.fmt, data.labels) == (4, "edges", None)
+        assert (data.n, data.labels) == (4, None)
         assert data.edges == [(0, 1), (0, 2), (1, 3), (2, 3)]
         assert build_poset(data) == diamond(2)
 
@@ -80,7 +80,8 @@ class TestEdgeText:
 class TestStructured:
     def test_basic(self):
         data = parse_poset_text(JSON_TEXT)
-        assert (data.n, data.fmt) == (4, "json")
+        assert data.n == 4
+        # only the JSON parser yields labels
         assert data.labels == ["bot", "left", "right", "top"]
         assert build_poset(data) == diamond(2)
 
@@ -132,8 +133,12 @@ class TestStructured:
             parse_poset_text('{"n": 2, "edges": ' + "[" * 100_000)
 
     def test_sniffing_tolerates_leading_whitespace(self):
-        assert parse_poset_text('  \n {"n": 1}').fmt == "json"
-        assert parse_poset_text("  \n 1\n").fmt == "edges"
+        # each format shows in what its parser yields: JSON labels, and
+        # edge-text errors that name the line
+        assert parse_poset_text('  \n {"n": 1, "labels": ["a"]}').labels == ["a"]
+        with pytest.raises(ParseError, match="not integers") as exc:
+            parse_poset_text("  \n 2\n 0 x\n")
+        assert exc.value.line == 3
 
 
 class TestSizeLimit:
