@@ -105,9 +105,10 @@ class DecompositionTrace(NamedTuple):
     the isolated suborder of that poset it collapses, and its members and
     cuts are the sub-problem's elements in it, a collapsed class counted
     once, by its bottom. iso_original, the union of their classes, and
-    t_original, t with each class expanded, are masks of that poset, so
-    disjointness is auditable; search_space is 2^(free elements) of a
-    "brute" leaf, the subsets the enumerator would examine there.
+    t_original, t with each member expanded to its class, an interval, are
+    masks of that poset, so disjointness is auditable; search_space is
+    2^(free elements) of a "brute" leaf, the subsets the enumerator would
+    examine there.
     """
 
     kind: str
@@ -158,12 +159,12 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
     c = _Count(p, _family(p), cap, {}, [p.full_mask, p, tuple(range(p.n))])
     # every system contains every maximal element
     trace = _run(_product(c, "components", p.connected_components(),
-                          t & ~p.maximal_mask, tuple(1 << x for x in range(p.n))))
+                          t & ~p.maximal_mask, tuple(range(p.n))))
     return CountResult(trace.value, trace)
 
 
-def _originals(origin: tuple, mask: ElementSet) -> ElementSet:
-    return reduce(lambda acc, x: acc | origin[x], bits(mask), 0)
+def _originals(p: Poset, tops: tuple, mask: ElementSet) -> ElementSet:
+    return reduce(lambda acc, x: acc | p.interval(x, tops[x]), bits(mask), 0)
 
 
 def _structure(p: Poset) -> tuple:
@@ -186,10 +187,11 @@ def _structure(p: Poset) -> tuple:
                            for u, ups in enumerate(p.cover_succ) for v in ups])
 
 
-def _count(c: _Count, s: ElementSet, t: ElementSet, origin: tuple):
+def _count(c: _Count, s: ElementSet, t: ElementSet, tops: tuple):
     """Count the connected suborder of the input c.p on the mask s, t
-    within s. Each member x stands for its class origin[x], a collapsed
-    isolated suborder of the input with bottom x. A generator for _run: it
+    within s. Each member x stands for its class p.interval(x, tops[x]),
+    a collapsed isolated suborder of the input, carried as its top (x
+    itself when nothing is collapsed into x). A generator for _run: it
     yields each sub-problem and returns its DecompositionTrace. Shapes and
     suborders are read off the input's masks and its detection pass; only
     a leaf becomes a Poset of its own, restricted once however often it is
@@ -204,37 +206,38 @@ def _count(c: _Count, s: ElementSet, t: ElementSet, origin: tuple):
     p = c.p
     # every system contains every element maximal in s
     t &= ~mask_of(x for x in bits(t) if not (p.up_incl[x] ^ (1 << x)) & s)
-    t_orig = _originals(origin, t)
+    t_orig = _originals(p, tops, t)
     special = count_special(p, t, s)
     if special is not None:
         return DecompositionTrace("special", special.value, size(s),
                                   shape=special.shape, t_original=t_orig)
     for kind in IsoKind.SUMMIT, IsoKind.BOTTLENECK:
-        isos = tuple(iso for iso in _sweep(p, c.family, kind, s, origin) if not iso.members & t)
+        isos = tuple(iso for iso in _sweep(p, c.family, kind, s, tops) if not iso.members & t)
         if not isos:
             continue
         if kind is IsoKind.BOTTLENECK:
             isos = (max(isos, key=lambda iso: (iso.n, -iso.bottom)),)
-        classes = list(origin)  # a bottom stands for its class, all of its S'
+        collapsed = list(tops)  # a bottom stands for its class, all of its S'
         for iso in isos:
-            classes[iso.bottom] = p.interval(iso.bottom, iso.top)
-        iso_orig = _originals(classes, mask_of(iso.bottom for iso in isos))
+            collapsed[iso.bottom] = iso.top
+        iso_orig = _originals(p, collapsed, mask_of(iso.bottom for iso in isos))
         # each class, in input ids, is checked against the definition
-        q = quotient_by(p, *(iso._replace(members=classes[iso.bottom]) for iso in isos)) & s
+        q = quotient_by(p, *(iso._replace(members=p.interval(iso.bottom, iso.top))
+                             for iso in isos)) & s
         assert q != s
         # each inside is a product over the parts between its cut points
-        # (step 3); a part's top stands for the class and keeps its origin
+        # (step 3); a part's top still stands for its own class in tops
         insides = []
         for iso in isos:
             parts = [p.interval(v, w) & s for v, w in zip(iso.cuts, iso.cuts[1:])]
-            insides.append((yield _product(c, "cuts", parts, 0, origin)))
+            insides.append((yield _product(c, "cuts", parts, 0, tops)))
         if kind is IsoKind.SUMMIT:
-            quot = yield _count(c, q, t, tuple(classes))
+            quot = yield _count(c, q, t, tuple(collapsed))
             value = quot.value * prod(inside.value for inside in insides)
             children = (quot, *insides)
         else:
-            meeting = yield _count(c, q, t | 1 << isos[0].bottom, tuple(classes))
-            whole = yield _count(c, q, t, tuple(classes))
+            meeting = yield _count(c, q, t | 1 << isos[0].bottom, tuple(collapsed))
+            whole = yield _count(c, q, t, tuple(collapsed))
             value = meeting.value * 2 * (insides[0].value - 1) + whole.value
             children = (meeting, *insides, whole)
         return DecompositionTrace(kind.value, value, size(s), children, isos=isos,
@@ -263,20 +266,20 @@ def _count(c: _Count, s: ElementSet, t: ElementSet, origin: tuple):
     return node
 
 
-def _product(c: _Count, kind: str, parts: list, t: ElementSet, origin: tuple):
+def _product(c: _Count, kind: str, parts: list, t: ElementSet, tops: tuple):
     """Product of the counts of the input's suborders on each part, t
-    restricted with it, as a generator for _run; a single part's own node.
-    The parts are the components of the input, whose systems combine
-    independently, or the intervals between a suborder's cut points
-    (_count)."""
+    restricted with it, each member standing for its class as in _count,
+    as a generator for _run; a single part's own node. The parts are the
+    components of the input, whose systems combine independently, or the
+    intervals between a suborder's cut points (_count)."""
     children = []
     for part in parts:
-        children.append((yield _count(c, part, t & part, origin)))
+        children.append((yield _count(c, part, t & part, tops)))
     if len(children) == 1:
         return children[0]
     return DecompositionTrace(kind, prod(child.value for child in children),
                               size(reduce(or_, parts)), children=tuple(children),
-                              t_original=_originals(origin, t))
+                              t_original=_originals(c.p, tops, t))
 
 
 def trace_nodes(trace: DecompositionTrace) -> Iterator[DecompositionTrace]:

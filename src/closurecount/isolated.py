@@ -18,10 +18,10 @@ tests the masks along it, once per poset (_family); the maximal suborders
 of a part of the poset, or of a quotient of one, are read off that pass
 (_sweep), so a count detects once, on its input, and the finders below
 are that sweep over the whole poset. Two definitional checks remain:
-is_isolated_suborder tests the definition itself, and is_separator tests
-the separator characterization by a path search. The cut points of [v, b]
-(the members comparable to all members, so on every path from v to b),
-where the suborders nested in it under b start, are v's post-dominator
+is_isolated_suborder tests the definition at the ends of S', and is_separator
+tests the separator characterization by a path search. The cut points of
+[v, b] (the members comparable to all members, so on every path from v to
+b), where the suborders nested in it under b start, are v's post-dominator
 chain up to b (cuts). Since S' is entered only at its bottom and left only
 at its top, the quotient by disjoint ones is the suborder on the rest plus
 their bottoms, so quotient_by returns it as that mask of the poset.
@@ -56,24 +56,20 @@ class IsolatedSuborder(NamedTuple):
 
 def is_isolated_suborder(p: Poset, s: ElementSet) -> bool:
     """Direct definitional check (used as the oracle for separator-based
-    detection): s has a least and a greatest member, any comparability from
-    inside to the outside factors through them. Raises ValueError when s
-    has bits outside p."""
+    detection): s has a least member bot and a greatest member top, and any
+    comparability from inside to the outside factors through them. The
+    members' up-sets union to up[bot] and their down-sets to down[top], so
+    this is tested at the two ends. Raises ValueError when s has bits
+    outside p."""
     if s & ~p.full_mask:
         raise ValueError(f"element mask {s:#x} has bits outside the poset")
-    if not s:
-        return False
     bot = p.least_element_of(s)
     top = p.greatest_element_of(s)
     if bot is None or top is None:
         return False
     outside = p.full_mask & ~s
-    for y in bits(s):
-        if p.up_incl[y] & outside & ~p.up_incl[top]:
-            return False  # something above y escapes without passing top
-        if p.down_incl[y] & outside & ~p.down_incl[bot]:
-            return False
-    return True
+    return not (p.up_incl[bot] & outside & ~p.up_incl[top]
+                or p.down_incl[top] & outside & ~p.down_incl[bot])
 
 
 def is_separator(aug: AugmentedPoset, u: int, s: int, t: int) -> bool:
@@ -135,11 +131,11 @@ def _family(p: Poset) -> tuple:
     return ipdom, rank, {IsoKind.SUMMIT: (has_s, best_s), IsoKind.BOTTLENECK: (has_b, best_b)}
 
 
-def _sweep(p: Poset, family: tuple, kind: IsoKind, s: ElementSet, origin: tuple) -> list:
+def _sweep(p: Poset, family: tuple, kind: IsoKind, s: ElementSet, tops: tuple) -> list:
     """The inclusion-maximal isolated suborders of `kind` of the suborder
     on the mask s of p, read off p's detection pass (_family). Each member
-    x of s stands for its class origin[x], an isolated suborder of p with
-    bottom x, and the classes together make up a convex set of p.
+    x of s stands for its class p.interval(x, tops[x]), an isolated suborder
+    of p, and the classes together make up a convex set of p.
 
     They are the intervals [v, best[v]] of p with v in s that lie in the
     classes and cut none of them, holding two or more members of s, s
@@ -151,21 +147,24 @@ def _sweep(p: Poset, family: tuple, kind: IsoKind, s: ElementSet, origin: tuple)
     [v, b], the members comparable to every member, are v's chain up to
     b; since a class is entered only at its bottom and left only at its
     top, [v, b] lies in the classes and cuts none iff b is the top of the
-    class of its last cut point in s.
+    class of its last cut point in s. A bottom a kept one covers is skipped
+    before its interval is built.
     """
     ipdom, rank, (bottoms, best) = family[0], family[1], family[2][kind]
     kept, covered = [], 0
     for v in sorted(bits(s & bottoms), key=rank.__getitem__):
+        if (covered >> v) & 1:
+            continue
         b = best[v]
         members = p.interval(v, b) & s
-        if (covered >> v) & 1 or members == s or size(members) < 2:
+        if members == s or size(members) < 2:
             continue
         cuts, x = [v], v
         while x != b:
             x = ipdom[x]
             if (s >> x) & 1:
                 cuts.append(x)
-        if origin[cuts[-1]] & p.up_incl[b] == 1 << b:
+        if tops[cuts[-1]] == b:
             kept.append(IsolatedSuborder(v, b, members, kind, tuple(cuts)))
             covered |= members
     return sorted(kept)  # by bottom, the first field and distinct
@@ -174,15 +173,13 @@ def _sweep(p: Poset, family: tuple, kind: IsoKind, s: ElementSet, origin: tuple)
 def find_max_bottleneck_isos(p: Poset) -> list:
     """Inclusion-maximal useful isolated suborders whose top has a
     bottleneck. Candidate tops are the nodes with exactly one upper cover."""
-    return _sweep(p, _family(p), IsoKind.BOTTLENECK, p.full_mask,
-                  tuple(1 << x for x in range(p.n)))
+    return _sweep(p, _family(p), IsoKind.BOTTLENECK, p.full_mask, tuple(range(p.n)))
 
 
 def find_max_summit_isos(p: Poset) -> list:
     """Inclusion-maximal useful isolated suborders whose top is maximal in
     the whole poset."""
-    return _sweep(p, _family(p), IsoKind.SUMMIT, p.full_mask,
-                  tuple(1 << x for x in range(p.n)))
+    return _sweep(p, _family(p), IsoKind.SUMMIT, p.full_mask, tuple(range(p.n)))
 
 
 def quotient_by(p: Poset, *isos: IsolatedSuborder) -> ElementSet:

@@ -24,6 +24,26 @@ def oracle_count(p: Poset, t: int = 0) -> int:
     return sum(1 for _ in enumerate_closure_systems(p, required=t))
 
 
+def isolated_by_definition(p: Poset, s: int) -> bool:
+    """The definition of an isolated suborder, member by member: s has a
+    least member bot and a greatest member top, and whatever lies outside
+    s above (below) some member lies above top (below bot). The reference
+    for is_isolated_suborder, which tests the same at the two ends."""
+    members = list(bits(s))
+    least = [x for x in members if all(p.leq(x, y) for y in members)]
+    greatest = [x for x in members if all(p.leq(y, x) for y in members)]
+    if not least or not greatest:
+        return False
+    bot, top = least[0], greatest[0]
+    outside = p.full_mask & ~s
+    for y in members:
+        if p.up_incl[y] & outside & ~p.up_incl[top]:
+            return False  # something above y escapes without passing top
+        if p.down_incl[y] & outside & ~p.down_incl[bot]:
+            return False
+    return True
+
+
 def is_convex(p: Poset, s: int) -> bool:
     """True iff x <= z <= y with x, y in s forces z in s: the set of such z,
     (union of up-sets of s) & (union of down-sets of s), is s itself."""

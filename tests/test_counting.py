@@ -189,9 +189,9 @@ class TestDispatch:
         # [0, 2, 4] is a chain, read off the masks; the N under 4 is not a
         # shape and has no suborder to split, so it is restricted as a leaf
         p = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
-        origin = tuple(1 << x for x in range(p.n))
+        tops = tuple(range(p.n))  # nothing collapsed: each element is its own class
         shared = _Count(p, _family(p), None, {}, [p.full_mask, p, tuple(range(p.n))])
-        node = _run(_count(shared, part, mask_of([0, 4]), origin))
+        node = _run(_count(shared, part, mask_of([0, 4]), tops))
         assert node.kind == ("special" if size(part) == 3 else "brute")
         assert node.t_original == mask_of([0]) and node.n == size(part)
         sub, idmap = p.restrict(part)
@@ -606,17 +606,19 @@ class TestDetectionOncePerCount:
         assert [size(s) for s in calls] == [meeting.n]
 
 
-def reference_sweep(p: Poset, kind: IsoKind, s: int, origin: tuple) -> list:
+def reference_sweep(p: Poset, kind: IsoKind, s: int, tops: tuple) -> list:
     """The suborders a sub-problem split on before a count shared one
     detection pass: restrict the sub-problem, run the public finder of the
     kind on it, and name each suborder in input ids, as (bottom, class,
-    members, cuts), its class being the classes of its members."""
+    members, cuts), its class being the union of its members' classes,
+    each expanded to its mask p.interval(x, tops[x]) of the input."""
+    classes = {x: p.interval(x, tops[x]) for x in bits(s)}
     sub, idmap = p.restrict(s)
     finder = find_max_summit_isos if kind is IsoKind.SUMMIT else find_max_bottleneck_isos
     found = []
     for iso in finder(sub):
         members = mask_of(idmap[x] for x in bits(iso.members))
-        found.append((idmap[iso.bottom], reduce(or_, (origin[x] for x in bits(members))),
+        found.append((idmap[iso.bottom], reduce(or_, (classes[x] for x in bits(members))),
                       members, tuple(idmap[x] for x in iso.cuts)))
     return found
 
@@ -626,10 +628,10 @@ class TestSweepAgainstTheRestrictedFinders:
         seen = []
         sweep = counting._sweep
 
-        def checked(p, detection, kind, s, origin):
-            found = sweep(p, detection, kind, s, origin)
+        def checked(p, detection, kind, s, tops):
+            found = sweep(p, detection, kind, s, tops)
             assert [(iso.bottom, p.interval(iso.bottom, iso.top), iso.members, iso.cuts)
-                    for iso in found] == reference_sweep(p, kind, s, origin)
+                    for iso in found] == reference_sweep(p, kind, s, tops)
             assert all(iso.kind is kind for iso in found)
             seen.append((s != p.full_mask, len(found)))
             return found
@@ -711,6 +713,18 @@ class TestNestedSuborders:
 
     def test_hundred_nested_levels(self):
         assert count_closures(nested(100)).value == (6 ** 101 - 1) // 5
+
+    @pytest.mark.parametrize("k", [100, 400])
+    def test_nested_levels_build_few_intervals(self, monkeypatch, k):
+        # a collapsed class is carried as its top and checked at its two
+        # ends, so no level expands the classes inside it member by member:
+        # the work grows linearly in k, not as k^2 / 2
+        calls = []
+        interval = Poset.interval
+        monkeypatch.setattr(Poset, "interval",
+                            lambda self, a, b: calls.append(a) or interval(self, a, b))
+        assert count_closures(nested(k)).value == (6 ** (k + 1) - 1) // 5
+        assert len(calls) <= 8 * k
 
     def test_nesting_past_the_recursion_limit_counts(self, default_recursion_limit):
         # each level is one more suborder inside the last, and one more

@@ -17,8 +17,8 @@ from closurecount import (Poset, bits, family, find_max_bottleneck_isos,
 from closurecount.errors import NotIsolatedError, SameNodeError
 from closurecount.generators import chain, diamond, powerset_lattice
 from closurecount.isolated import IsoKind, IsolatedSuborder, is_separator
-from conftest import (broom, glued_posets, is_convex, least_bottleneck, random_poset,
-                      random_posets, relabel)
+from conftest import (broom, glued_posets, is_convex, isolated_by_definition,
+                      least_bottleneck, random_poset, random_posets, relabel)
 
 DIAMOND_TOP = Poset(5, [(0, 1), (0, 2), (1, 3), (2, 3), (3, 4)])
 SHARED_DIAMONDS = Poset(7, [(0, 1), (0, 2), (1, 3), (2, 3),
@@ -55,6 +55,42 @@ class TestDefinition:
                         assert is_convex(p, m)
                         assert p.least_element_of(m) == a
                         assert p.greatest_element_of(m) == b
+
+    def test_the_two_ends_decide_as_the_definition(self):
+        # every mask of small posets, so the empty mask, masks without a
+        # least or a greatest member and non-convex masks all occur, and
+        # every interval of glued posets, where most isolated ones lie
+        seen = dict.fromkeys(["empty", "no least", "no greatest", "not convex", "isolated"], 0)
+        for _, p in random_posets(seed=23, count=300, max_n=7):
+            for s in range(p.full_mask + 1):
+                assert is_isolated_suborder(p, s) == isolated_by_definition(p, s)
+                seen["empty"] += not s
+                seen["no least"] += bool(s) and p.least_element_of(s) is None
+                seen["no greatest"] += bool(s) and p.greatest_element_of(s) is None
+                seen["not convex"] += not is_convex(p, s)
+                seen["isolated"] += isolated_by_definition(p, s)
+        for _, p in glued_posets(seed=23, count=300, max_n=14):
+            for a in range(p.n):
+                for b in range(p.n):
+                    s = p.interval(a, b)
+                    assert is_isolated_suborder(p, s) == isolated_by_definition(p, s)
+        assert min(seen.values()) >= 300  # one empty mask per poset
+
+    def test_reads_the_masks_at_the_two_ends_only(self):
+        # the members' up-sets union to up[bot] and their down-sets to
+        # down[top]: the whole of a long chain costs a few mask reads, not
+        # one per member
+        reads = []
+
+        class Counted(tuple):
+            def __getitem__(self, i):
+                reads.append(i)
+                return tuple.__getitem__(self, i)
+
+        p = chain(1000)
+        p.up_incl, p.down_incl = Counted(p.up_incl), Counted(p.down_incl)
+        assert is_isolated_suborder(p, p.full_mask)
+        assert len(reads) <= 8
 
 
 class TestSeparators:
