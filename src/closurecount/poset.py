@@ -1,11 +1,14 @@
 """Finite partially ordered sets stored as Hasse diagrams.
 
 A poset on elements 0..n-1 is built from arbitrary order relations (u, v)
-meaning u < v. The constructor checks acyclicity, computes each element's
-up-set and down-set (itself included) as one bitmask apiece, and keeps the
-cover relation (the transitive reduction, which is unique for finite orders)
-as lists of upper and lower covers. All set-valued queries speak bitmasks;
-see bitset.ElementSet.
+meaning u < v. The constructor holds them as one successor set per element.
+Kahn's sort over those sets (A. B. Kahn, "Topological sorting of large
+networks", CACM 5(11), 1962) checks acyclicity; one pass in reverse
+topological order then computes each element's up-set (itself included) as
+a bitmask and its upper covers, and the down-sets follow from the lower
+covers. The cover relation (the transitive reduction, which is unique for
+finite orders) is kept as lists of upper and lower covers. All set-valued
+queries speak bitmasks; see bitset.ElementSet.
 """
 
 from __future__ import annotations
@@ -21,15 +24,16 @@ from .errors import CycleError, EmptySetError, excerpt
 # Largest element count accepted: up_incl and down_incl each hold n masks of
 # up to n bits, n^2/8 bytes apiece, 32 MiB each here. A chain fills one and
 # half the other: chain:16384 keeps 55 MiB (tracemalloc), and counting it
-# peaks at 92 MiB of resident memory (CPython 3.11, ru_maxrss).
+# peaks at 77 MiB of resident memory (CPython 3.11, ru_maxrss).
 MAX_ELEMENTS = 1 << 14
 
 
 # Largest number of relation pairs accepted; the element limit does not bound
 # them (stacked:2:antichain:8192 has 2^26). The constructor holds each pair in
-# two sets while it runs and keeps no cover pairs, only the cover lists:
-# stacked:2:antichain:512 (2^18 pairs, all covers) peaks 67 MiB above its
-# start and keeps 12 MiB (tracemalloc); counting it peaks at 84 MiB of
+# one successor set while it runs and keeps no cover pairs, only the cover
+# lists: given its 2^18 pairs, all covers, stacked:2:antichain:512 peaks
+# 91 bytes a pair above its start (tracemalloc); generated and built, it peaks
+# 51 MiB above its start and keeps 12 MiB, and counting it peaks at 68 MiB of
 # resident memory, 15 MiB of them the interpreter's (CPython 3.11).
 MAX_EDGES = 1 << 18
 
@@ -66,26 +70,26 @@ class Shape(NamedTuple):
         return f"{self.kind.value} width {self.size}"
 
 
-def _find_cycle(preds: Sequence[Sequence[int]], unprocessed: set) -> list:
-    """Recover one directed cycle from the nodes Kahn's algorithm left over.
+def _find_cycle(succ: Sequence[set], indeg: Sequence[int]) -> list:
+    """Recover one directed cycle from the nodes Kahn's algorithm left over,
+    those whose in-degree never fell to 0.
 
     Every leftover node has a leftover predecessor, so walking backwards must
     revisit a node; the slice between the visits is a cycle.
     """
-    start = next(iter(unprocessed))
-    path = [start]
-    index = {start: 0}
-    cur = start
-    while True:
-        nxt = next(p for p in preds[cur] if p in unprocessed)
-        if nxt in index:
-            j = index[nxt]
-            # path[i+1] -> path[i] are edges, plus nxt -> cur closes the loop
-            loop = list(reversed(path[j:]))
-            return [loop[-1]] + loop
-        index[nxt] = len(path)
-        path.append(nxt)
-        cur = nxt
+    preds = {v: [] for v, d in enumerate(indeg) if d}
+    for u in preds:
+        for w in succ[u]:
+            if w in preds:
+                preds[w].append(u)
+    cur = next(iter(preds))
+    path, index = [], {}
+    while cur not in index:
+        index[cur] = len(path)
+        path.append(cur)
+        cur = preds[cur][0]
+    # path[i+1] -> path[i] are edges, and cur -> path[-1] closes the loop
+    return [cur] + path[index[cur]:][::-1]
 
 
 class Poset:
@@ -102,14 +106,20 @@ class Poset:
 
     The strict up-set of x is up_incl[x] ^ (1 << x). `covers`, the frozenset
     of cover pairs, is derived from cover_succ on each read.
+
+    Construction holds the input pairs once, as one successor set per
+    element, next to the tables it builds: on pairs that are all covers it
+    peaks about 96 bytes a pair above the input (tracemalloc, CPython 3.10
+    to 3.13). Raises CycleError naming one cycle of the input, and
+    ValueError on an element count or a pair out of range or on more than
+    MAX_EDGES pairs.
     """
 
     def __init__(self, n: int, edges: Iterable[tuple]):
         self.n = check_size(n)
         self.full_mask = (1 << n) - 1
 
-        succ_in = [set() for _ in range(n)]
-        pred_in = [set() for _ in range(n)]
+        succ = [set() for _ in range(n)]
         for count, (u, v) in enumerate(edges, 1):
             if count > MAX_EDGES:
                 raise ValueError(f"more than {MAX_EDGES} relation pairs")
@@ -117,61 +127,58 @@ class Poset:
                 raise ValueError(f"edge ({excerpt(u)}, {excerpt(v)}) out of range for n={n}")
             if u == v:
                 continue  # reflexive pair, carries no information
-            succ_in[u].add(v)
-            pred_in[v].add(u)
+            succ[u].add(v)
 
-        self.topo = self._toposort(succ_in, pred_in)
-
-        up = [0] * n
-        for u in reversed(self.topo):
-            acc = 1 << u
-            for w in succ_in[u]:
-                acc |= up[w]
-            up[u] = acc
-        self.up_incl = tuple(up)
-
-        down = [0] * n
-        for v in self.topo:
-            acc = 1 << v
-            for u in pred_in[v]:
-                acc |= down[u]
-            down[v] = acc
-        self.down_incl = tuple(down)
-
-        cover_succ = []
-        pred = [[] for _ in range(n)]  # ascending, since u ascends
-        for u in range(n):
-            succ = succ_in[u]
-            implied = 0
-            for w in succ:
-                implied |= up[w] ^ (1 << w)
-            ups = tuple(sorted([v for v in succ if not (implied >> v) & 1]))
-            cover_succ.append(ups)
-            for v in ups:
-                pred[v].append(u)
-        self.cover_succ = tuple(cover_succ)
-        self.cover_pred = tuple(map(tuple, pred))
-
-        self.maximal_mask = mask_of(x for x in range(n) if not cover_succ[x])
-        self.minimal_mask = mask_of(x for x in range(n) if not pred[x])
-
-    def _toposort(self, succ_in, pred_in) -> tuple:
-        n = self.n
-        indeg = [len(pred_in[v]) for v in range(n)]
-        ready = [v for v in range(n) if indeg[v] == 0]
-        heapq.heapify(ready)
+        # Kahn's sort, smallest ready element first; the ready list starts
+        # ascending, so it is already a heap
+        indeg = [0] * n
+        for ws in succ:
+            for w in ws:
+                indeg[w] += 1
+        ready = [v for v in range(n) if not indeg[v]]
         order = []
         while ready:
             u = heapq.heappop(ready)
             order.append(u)
-            for w in succ_in[u]:
+            for w in succ[u]:
                 indeg[w] -= 1
-                if indeg[w] == 0:
+                if not indeg[w]:
                     heapq.heappush(ready, w)
         if len(order) < n:
-            leftover = set(range(n)) - set(order)
-            raise CycleError(_find_cycle(pred_in, leftover))
-        return tuple(order)
+            raise CycleError(_find_cycle(succ, indeg))
+        self.topo = tuple(order)
+
+        # each element after its successors: a successor is an upper cover
+        # unless it lies above another successor
+        up = [0] * n
+        cover_succ = [()] * n
+        for u in reversed(order):
+            acc = 1 << u
+            implied = 0
+            for w in succ[u]:
+                acc |= up[w]
+                implied |= up[w] ^ (1 << w)
+            up[u] = acc
+            cover_succ[u] = tuple(sorted([w for w in succ[u] if not (implied >> w) & 1]))
+        self.up_incl = tuple(up)
+        self.cover_succ = tuple(cover_succ)
+
+        pred = [[] for _ in range(n)]  # ascending, since u ascends
+        for u, ups in enumerate(cover_succ):
+            for v in ups:
+                pred[v].append(u)
+        self.cover_pred = tuple(map(tuple, pred))
+
+        down = [0] * n
+        for v in order:
+            acc = 1 << v
+            for u in pred[v]:
+                acc |= down[u]
+            down[v] = acc
+        self.down_incl = tuple(down)
+
+        self.maximal_mask = mask_of(x for x in range(n) if not cover_succ[x])
+        self.minimal_mask = mask_of(x for x in range(n) if not pred[x])
 
     @property
     def covers(self) -> frozenset:

@@ -13,8 +13,18 @@ from hypothesis import strategies as st
 from closurecount import Poset, bits, mask_of
 from closurecount.errors import CycleError, EmptySetError
 from closurecount.generators import chain, family
-from closurecount.poset import ShapeKind
+from closurecount.poset import MAX_ELEMENTS, ShapeKind
 from conftest import is_convex, posets, random_posets, relabel
+
+
+def noisy_pairs(rng: random.Random, p: Poset) -> list:
+    """p's order as a shuffled pair list that also holds transitive,
+    duplicate and reflexive pairs."""
+    pairs = list(p.covers)
+    pairs += [(x, y) for x in range(p.n) for y in bits(p.up_incl[x]) if rng.random() < 0.2]
+    pairs += rng.choices(pairs, k=len(pairs) // 4)
+    rng.shuffle(pairs)
+    return pairs
 
 
 class TestConstruction:
@@ -66,6 +76,47 @@ class TestConstruction:
         position = {x: i for i, x in enumerate(p.topo)}
         for u, v in p.covers:
             assert position[u] < position[v]
+
+    def test_topo_is_the_smallest_linear_extension(self):
+        # the reference takes, at each step, the smallest element whose
+        # predecessors in the pair list are all placed
+        rng = random.Random(24)
+        for _, p in random_posets(24, 300, 40):
+            pairs = noisy_pairs(rng, p)
+            below = [set() for _ in range(p.n)]
+            for u, v in pairs:
+                if u != v:
+                    below[v].add(u)
+            placed, want = set(), []
+            while len(want) < p.n:
+                x = min(x for x in range(p.n) if x not in placed and below[x] <= placed)
+                placed.add(x)
+                want.append(x)
+            q = Poset(p.n, pairs)
+            assert q == p and q.topo == tuple(want)
+
+    def test_a_cycle_error_names_a_cycle_of_the_input(self):
+        def named_cycle(n, pairs):
+            with pytest.raises(CycleError) as exc:
+                Poset(n, pairs)
+            cyc = exc.value.cycle
+            assert len(cyc) >= 3 and cyc[0] == cyc[-1]
+            assert len(set(cyc[:-1])) == len(cyc) - 1
+            assert set(zip(cyc, cyc[1:])) <= set(pairs)
+            return cyc
+
+        # a ring of k elements, and random pairs that hang other elements
+        # above and below it or close further cycles
+        rng = random.Random(24)
+        for _ in range(1000):
+            n = rng.randint(2, 30)
+            ring = rng.sample(range(n), rng.randint(2, n))
+            pairs = list(zip(ring, ring[1:] + ring[:1]))
+            pairs += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2 * n))]
+            rng.shuffle(pairs)
+            named_cycle(n, pairs)
+        n = MAX_ELEMENTS
+        assert len(named_cycle(n, [(x, (x + 1) % n) for x in range(n)])) == n + 1
 
 
 class TestOrderQueries:
@@ -237,6 +288,21 @@ class TestMemory:
         # 2^14 covers between two antichains of 128
         kept, p = self.retained(lambda: family("stacked:2:antichain:128"))
         assert len(p.covers) == 1 << 14 and kept < 1 << 20
+
+    def test_construction_holds_each_pair_once(self):
+        # 2^14 pairs, all covers: one successor set per element holds a pair
+        # in about 64 bytes and the cover lists in 16 more; a second set
+        # per pair would take the peak past 128 bytes a pair
+        pairs = [(u, v + 128) for u in range(128) for v in range(128)]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            Poset(256, pairs)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 128 * len(pairs)
 
 
 class TestEqualityAndRepr:
