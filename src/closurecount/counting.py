@@ -23,17 +23,19 @@ preferring structure over enumeration, in this order:
      systems of S' (the bottleneck above rescues least majorizers), and
      those avoiding it C(Q, t) - C(Q, t + {c}); one S' per node, so
      bottleneck siblings still split one per level;
-     the suborders of steps 3 and 4 are found once per count, by one
-     detection pass over the input (isolated._family), and each
+     the suborders of steps 3 and 4 come from at most one detection pass
+     over the input (isolated._family), run at the first sweep, and each
      sub-problem reads its own off that pass (isolated._sweep), in input
      ids; each is checked against the definition on the input, expanded
      to its class, as quotient_by collapses it;
   5. the exact leaf counter (count_closure_systems_bruteforce, a frontier
      DP over a reverse linear extension), refused once it has visited more
-     than `cap` states (cap=None lifts the budget); only a leaf becomes a
-     Poset of its own (restrict), and an unconstrained leaf isomorphic to
-     one already counted in this count reuses its node, from a per-call
-     cache keyed by the leaf's order relabelled structurally.
+     than `cap` states (cap=None lifts the budget); only a counted leaf
+     becomes a Poset of its own (restrict), and an unconstrained
+     sub-problem isomorphic to one already counted in this count reuses
+     its node before any sweep, keyed by its order relabelled structurally
+     off the input's masks: a tower's repeated levels are neither built
+     nor swept.
 
 Every path is validated against enumerate_closure_systems in the test
 suite; neither the decomposition nor the leaf counter is trusted on its
@@ -131,12 +133,12 @@ class CountResult(NamedTuple):
 
 class _Count(NamedTuple):
     """What the sub-problems of one count share: the input poset p, its
-    detection pass (isolated._family), the state budget, the store of
-    unconstrained leaves (_count) and the last leaf built, as [its mask,
-    the Poset, the idmap]."""
+    detection pass (isolated._family, filled in at the first sweep), the
+    state budget, the store of unconstrained leaves (_count) and the last
+    leaf built, as [its mask, the Poset, the idmap]."""
 
     p: Poset
-    family: tuple
+    family: list
     cap: Optional[int]
     leaves: dict
     built: list
@@ -156,7 +158,7 @@ def count_closures(p: Poset, t: ElementSet = 0, *,
         raise ValueError(f"constraint mask {t:#x} has bits outside the poset")
     if cap is not None and cap < 0:
         raise ValueError(f"state budget must be nonnegative, got {cap}")
-    c = _Count(p, _family(p), cap, {}, [p.full_mask, p, tuple(range(p.n))])
+    c = _Count(p, [], cap, {}, [p.full_mask, p, tuple(range(p.n))])
     # every system contains every maximal element
     trace = _run(_product(c, "components", p.connected_components(),
                           t & ~p.maximal_mask, tuple(range(p.n))))
@@ -167,119 +169,145 @@ def _originals(p: Poset, tops: tuple, mask: ElementSet) -> ElementSet:
     return reduce(lambda acc, x: acc | p.interval(x, tops[x]), bits(mask), 0)
 
 
-def _structure(p: Poset) -> tuple:
-    """n and p's covers relabelled in a structural order: by height, then
-    the sorted new labels of the lower covers and up-degree, ties broken by
-    id (one pass of colour refinement). The labels are a bijection, so
-    equal values are an isomorphism."""
-    pred = p.cover_pred
-    height = [0] * p.n
-    for x in p.topo:
-        if pred[x]:
-            height[x] = max(map(height.__getitem__, pred[x])) + 1
-    label = {}
-    for h in range(max(height) + 1):
-        level = [x for x in range(p.n) if height[x] == h]  # ties stay in id order
-        level.sort(key=lambda x: (sorted(map(label.__getitem__, pred[x])),
-                                  len(p.cover_succ[x])))
-        label.update(zip(level, range(len(label), p.n)))
-    return p.n, frozenset([(label[u], label[v])
-                           for u, ups in enumerate(p.cover_succ) for v in ups])
+def _structure(p: Poset, s: ElementSet) -> tuple:
+    """The size of the mask s of p and the covers of its order relabelled
+    in a structural order: by height, then the sorted new labels of the
+    lower covers and up-degree, ties broken by id (one pass of colour
+    refinement). The labels are a bijection, so equal values are an
+    isomorphism. It is read off p's masks and equals the value for
+    p.restrict(s), whose ids keep their order."""
+    up, down = p.up_incl, p.down_incl
+    pred, up_degree = {}, dict.fromkeys(bits(s), 0)
+    for x in up_degree:
+        below, pred[x] = (down[x] ^ (1 << x)) & s, []
+        while below:  # climb to a maximal member, a lower cover in s
+            above = below
+            while above:
+                y = above.bit_length() - 1
+                above = (up[y] ^ (1 << y)) & below
+            pred[x].append(y)
+            up_degree[y] += 1
+            below &= ~down[y]
+    label, rest = {}, s
+    while rest:  # one height at a time, ties in id order
+        level = [x for x in bits(rest) if not down[x] & rest ^ (1 << x)]
+        level.sort(key=lambda x: (sorted([label[y] for y in pred[x]]), up_degree[x]))
+        for x in level:
+            label[x] = len(label)
+            rest ^= 1 << x
+    return len(pred), frozenset([(label[u], label[v]) for v, us in pred.items() for u in us])
 
 
 def _count(c: _Count, s: ElementSet, t: ElementSet, tops: tuple):
     """Count the connected suborder of the input c.p on the mask s, t
     within s. Each member x stands for its class p.interval(x, tops[x]),
     a collapsed isolated suborder of the input, carried as its top (x
-    itself when nothing is collapsed into x). A generator for _run: it
-    yields each sub-problem and returns its DecompositionTrace. Shapes and
-    suborders are read off the input's masks and its detection pass; only
-    a leaf becomes a Poset of its own, restricted once however often it is
-    counted in a row. Every sub-problem below is connected too.
+    itself when nothing is collapsed into x). Returns its
+    DecompositionTrace, or, when s splits, a generator for _run that
+    returns it (_split). Shapes, suborders and leaf keys are read off the
+    input's masks and its detection pass; only a counted leaf becomes a
+    Poset of its own, restricted once however often it is counted in a
+    row. Every sub-problem below is connected too.
 
-    leaves files this count's unconstrained "brute" nodes under the gate
-    (n, number of covers) as ({_structure: node}, [the first (p, node),
-    until a second part of its gate keys it]). An unconstrained leaf
-    isomorphic to one already counted shares its value and search space
-    (they are structural): it reuses the node, visiting no states, so
-    `cap` bounds counted leaves. Constrained leaves skip this."""
+    leaves files this count's unconstrained "brute" nodes by size as
+    ({_structure: node}, [the first (mask, node), until a second
+    sub-problem of its size keys it]). An unconstrained sub-problem
+    isomorphic to a counted leaf is a leaf (sweeps are structural) with
+    its value and search space: it reuses the node before any sweep,
+    visiting no states, so `cap` bounds counted leaves. Constrained
+    leaves skip this."""
     p = c.p
     # every system contains every element maximal in s
     t &= ~mask_of(x for x in bits(t) if not (p.up_incl[x] ^ (1 << x)) & s)
-    t_orig = _originals(p, tops, t)
+    t_orig = t and _originals(p, tops, t)
     special = count_special(p, t, s)
     if special is not None:
         return DecompositionTrace("special", special.value, size(s),
                                   shape=special.shape, t_original=t_orig)
+    key = None
+    if not t and size(s) in c.leaves:
+        keyed, unkeyed = c.leaves[size(s)]
+        keyed.update((_structure(p, u), node) for u, node in unkeyed)
+        unkeyed.clear()
+        key = _structure(p, s)
+        if key in keyed:
+            return keyed[key]
+    if not c.family:  # the detection pass, at the count's first sweep
+        c.family.extend(_family(p))
     for kind in IsoKind.SUMMIT, IsoKind.BOTTLENECK:
         isos = tuple(iso for iso in _sweep(p, c.family, kind, s, tops) if not iso.members & t)
-        if not isos:
-            continue
-        if kind is IsoKind.BOTTLENECK:
-            isos = (max(isos, key=lambda iso: (iso.n, -iso.bottom)),)
-        collapsed = list(tops)  # a bottom stands for its class, all of its S'
-        for iso in isos:
-            collapsed[iso.bottom] = iso.top
-        iso_orig = _originals(p, collapsed, mask_of(iso.bottom for iso in isos))
-        # each class, in input ids, is checked against the definition
-        q = quotient_by(p, *(iso._replace(members=p.interval(iso.bottom, iso.top))
-                             for iso in isos)) & s
-        assert q != s
-        # each inside is a product over the parts between its cut points
-        # (step 3); a part's top still stands for its own class in tops
-        insides = []
-        for iso in isos:
-            parts = [p.interval(v, w) & s for v, w in zip(iso.cuts, iso.cuts[1:])]
-            insides.append((yield _product(c, "cuts", parts, 0, tops)))
-        if kind is IsoKind.SUMMIT:
-            quot = yield _count(c, q, t, tuple(collapsed))
-            value = quot.value * prod(inside.value for inside in insides)
-            children = (quot, *insides)
-        else:
-            meeting = yield _count(c, q, t | 1 << isos[0].bottom, tuple(collapsed))
-            whole = yield _count(c, q, t, tuple(collapsed))
-            value = meeting.value * 2 * (insides[0].value - 1) + whole.value
-            children = (meeting, *insides, whole)
-        return DecompositionTrace(kind.value, value, size(s), children, isos=isos,
-                                  iso_original=iso_orig, t_original=t_orig)
+        if isos:
+            return _split(c, s, t, t_orig, tops, isos)
 
     if c.built[0] != s:
         c.built[:] = s, *p.restrict(s)
     _, p, idmap = c.built
     t = t and mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
-    gate, key = (p.n, sum(map(len, p.cover_succ))), None
-    if not t and gate in c.leaves:
-        keyed, unkeyed = c.leaves[gate]
-        keyed.update((_structure(q), node) for q, node in unkeyed)
-        unkeyed.clear()
-        key = _structure(p)
-        if key in keyed:
-            return keyed[key]
     space = bruteforce_search_space(p, t)
     value = count_closure_systems_bruteforce(p, t, cap=c.cap)
     node = DecompositionTrace("brute", value, p.n,
                               t_original=t_orig, search_space=space)
     if key is not None:
         keyed[key] = node
-    elif not t:  # the first unconstrained leaf of its gate
-        c.leaves[gate] = ({}, [(p, node)])
+    elif not t:  # the first unconstrained leaf of its size
+        c.leaves[p.n] = ({}, [(s, node)])
     return node
+
+
+def _split(c: _Count, s: ElementSet, t: ElementSet, t_orig: ElementSet,
+           tops: tuple, isos: tuple):
+    """The node of _count's sub-problem on s that splits on isos, its
+    maximal isolated suborders of one kind disjoint from t, as a generator
+    for _run (module docstring, steps 3 and 4)."""
+    p = c.p
+    kind = isos[0].kind
+    if kind is IsoKind.BOTTLENECK:
+        isos = (max(isos, key=lambda iso: (iso.n, -iso.bottom)),)
+    collapsed = list(tops)  # a bottom stands for its class, all of its S'
+    for iso in isos:
+        collapsed[iso.bottom] = iso.top
+    iso_orig = _originals(p, collapsed, mask_of(iso.bottom for iso in isos))
+    # each class, in input ids, is checked against the definition
+    q = quotient_by(p, *(iso._replace(members=p.interval(iso.bottom, iso.top))
+                         for iso in isos)) & s
+    assert q != s
+    # each inside is a product over the parts between its cut points
+    # (step 3); a part's top still stands for its own class in tops
+    insides = []
+    for iso in isos:
+        parts = [p.interval(v, w) & s for v, w in zip(iso.cuts, iso.cuts[1:])]
+        insides.append((yield _product(c, "cuts", parts, 0, tops)))
+    quotients = []
+    for t_q in (t,) if kind is IsoKind.SUMMIT else (t | 1 << isos[0].bottom, t):
+        node = _count(c, q, t_q, tuple(collapsed))
+        quotients.append(node if type(node) is DecompositionTrace else (yield node))
+    if kind is IsoKind.SUMMIT:
+        value = quotients[0].value * prod(inside.value for inside in insides)
+        children = (*quotients, *insides)
+    else:
+        meeting, whole = quotients
+        value = meeting.value * 2 * (insides[0].value - 1) + whole.value
+        children = (meeting, *insides, whole)
+    return DecompositionTrace(kind.value, value, size(s), children, isos=isos,
+                              iso_original=iso_orig, t_original=t_orig)
 
 
 def _product(c: _Count, kind: str, parts: list, t: ElementSet, tops: tuple):
     """Product of the counts of the input's suborders on each part, t
     restricted with it, each member standing for its class as in _count,
-    as a generator for _run; a single part's own node. The parts are the
-    components of the input, whose systems combine independently, or the
-    intervals between a suborder's cut points (_count)."""
+    as a generator for _run that yields only the parts that split; a
+    single part's own node. The parts are the components of the input,
+    whose systems combine independently, or the intervals between a
+    suborder's cut points (_count)."""
     children = []
     for part in parts:
-        children.append((yield _count(c, part, t & part, tops)))
+        node = _count(c, part, t & part, tops)
+        children.append(node if type(node) is DecompositionTrace else (yield node))
     if len(children) == 1:
         return children[0]
     return DecompositionTrace(kind, prod(child.value for child in children),
                               size(reduce(or_, parts)), children=tuple(children),
-                              t_original=_originals(c.p, tops, t))
+                              t_original=t and _originals(c.p, tops, t))
 
 
 def trace_nodes(trace: DecompositionTrace) -> Iterator[DecompositionTrace]:

@@ -16,8 +16,8 @@ dominates b, a single-entry single-exit region (Johnson, Pearson and
 Pingali, PLDI 1994). Detection walks each v's chain of post-dominators and
 tests the masks along it, once per poset (_family); the maximal suborders
 of a part of the poset, or of a quotient of one, are read off that pass
-(_sweep), so a count detects once, on its input, and the finders below
-are that sweep over the whole poset. Two definitional checks remain:
+(_sweep), so a count detects at most once, on its input, and the finders
+below are that sweep over the whole poset. Two definitional checks remain:
 is_isolated_suborder tests the definition at the ends of S', and is_separator
 tests the separator characterization by a path search. The cut points of
 [v, b] (the members comparable to all members, so on every path from v to

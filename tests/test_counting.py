@@ -8,6 +8,7 @@ enumerator, never the leaf counter that the decomposition itself uses.
 
 from __future__ import annotations
 
+import importlib.util
 import inspect
 import random
 import re
@@ -17,6 +18,7 @@ from functools import reduce
 from itertools import permutations
 from math import prod
 from operator import or_
+from pathlib import Path
 
 import pytest
 from hypothesis import given, seed, settings
@@ -29,8 +31,7 @@ from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           is_isolated_suborder, mask_of, quotient_by, trace_nodes)
 from closurecount.bitset import size
 from closurecount import counting, isolated
-from closurecount.counting import (_Count, _count, _run, _structure, bruteforce_candidates,
-                                   digits)
+from closurecount.counting import _Count, _count, _structure, bruteforce_candidates, digits
 from closurecount.errors import EmptyPosetError, excerpt
 from closurecount.formulas import count_special
 from closurecount.generators import (antichain, chain, diamond, powerset_lattice,
@@ -40,6 +41,8 @@ from closurecount.poset import AugmentedPoset
 from closurecount.selfcheck import disjointness_violations
 from conftest import (broom, glued_poset, nested, oracle_count, posets, random_poset,
                       random_posets, relabel)
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 PATH3 = Poset(3, [(0, 1), (1, 2)])
 GLUED = Poset(6, [(0, 1), (1, 2), (2, 3), (2, 4), (3, 5), (4, 5)])
@@ -191,7 +194,7 @@ class TestDispatch:
         p = Poset(6, [(0, 2), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5)])
         tops = tuple(range(p.n))  # nothing collapsed: each element is its own class
         shared = _Count(p, _family(p), None, {}, [p.full_mask, p, tuple(range(p.n))])
-        node = _run(_count(shared, part, mask_of([0, 4]), tops))
+        node = _count(shared, part, mask_of([0, 4]), tops)
         assert node.kind == ("special" if size(part) == 3 else "brute")
         assert node.t_original == mask_of([0]) and node.n == size(part)
         sub, idmap = p.restrict(part)
@@ -418,8 +421,8 @@ def isomorphic(p: Poset, q: Poset) -> bool:
 
 
 class TestLeafKey:
-    # _structure(p) files an unconstrained leaf's count within one
-    # count_closures call: equal keys must be an isomorphism of the posets
+    # _structure(p, s) files an unconstrained leaf's count within one
+    # count_closures call: equal keys must be an isomorphism of the orders
     def test_equal_keys_are_isomorphisms(self):
         rng = random.Random(4099)
         groups = {}
@@ -428,7 +431,7 @@ class TestLeafKey:
             perm = rng.sample(range(p.n), p.n)
             copy = Poset(p.n, [(perm[u], perm[v]) for u, v in p.covers])
             for q in (p, copy):
-                groups.setdefault(_structure(q), []).append(q)
+                groups.setdefault(_structure(q, q.full_mask), []).append(q)
         shared = [members for members in groups.values() if len(members) > 1]
         assert len(shared) >= 50  # the check below is not vacuous
         for p, *others in shared:
@@ -447,7 +450,66 @@ class TestLeafKey:
     def test_near_misses_get_different_keys(self, first, second):
         assert (first.n, len(first.covers)) == (second.n, len(second.covers))
         assert not isomorphic(first, second)
-        assert _structure(first) != _structure(second)
+        assert _structure(first, first.full_mask) != _structure(second, second.full_mask)
+
+    def test_the_key_read_off_the_masks_is_the_restricted_key(self):
+        # _structure(p, s) reads the order on s off p's masks, s convex or
+        # not, and must key it exactly as the Poset restrict builds on s
+        rng = random.Random(6007)
+        checked = 0
+        for i in range(300):
+            p = glued_poset(rng, 30)[0] if i % 2 else random_poset(rng, rng.randint(1, 30))
+            masks = [p.full_mask] + [rng.randint(1, p.full_mask) for _ in range(4)]
+            masks += [random_submask(rng, p.full_mask, rng.randint(1, p.n)) for _ in range(3)]
+            for a in rng.sample(range(p.n), min(p.n, 3)):
+                masks.append(p.interval(a, rng.choice(list(bits(p.up_incl[a])))))
+            isos = find_max_summit_isos(p) or find_max_bottleneck_isos(p)[:1]
+            if isos:
+                masks.append(quotient_by(p, *isos))
+            for s in filter(None, masks):
+                q = p.restrict(s)[0]
+                assert _structure(p, s) == _structure(q, q.full_mask)
+                checked += 1
+        assert checked > 3000
+
+    def test_every_leaf_of_the_benchmark_towers_keys_as_restricted(self, monkeypatch):
+        leaves = []
+        count = counting._count
+
+        def recorded(c, s, t, tops):
+            node = count(c, s, t, tops)
+            if getattr(node, "kind", None) == "brute":
+                leaves.append((c.p, s))
+            return node
+
+        monkeypatch.setattr(counting, "_count", recorded)
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        for inst in workloads.seeded_pool(workloads.load_reference(), "towers", 1):
+            count_closures(Poset(inst["n"], inst["edges"]), inst["mask"])
+        assert len(leaves) == 48
+        for p, s in leaves:
+            q = p.restrict(s)[0]
+            assert _structure(p, s) == _structure(q, q.full_mask)
+
+    def test_reused_levels_are_neither_built_nor_swept(self, monkeypatch):
+        # the 12 cubes of the tower, the lowest counted as the quotient, are
+        # one leaf: the first is restricted, swept and counted, and every
+        # other one is found in the leaf store, keyed off the tower's masks
+        p = relabel(stacked(powerset_lattice(3), 12), random.Random(12))
+        swept, restricted = [], []
+        sweep, restrict = counting._sweep, Poset.restrict
+        monkeypatch.setattr(counting, "_sweep", lambda p, family, kind, s, tops:
+                            swept.append(size(s)) or sweep(p, family, kind, s, tops))
+        monkeypatch.setattr(Poset, "restrict",
+                            lambda self, s: restricted.append(size(s)) or restrict(self, s))
+        built, counted = record_builds(monkeypatch), leaf_dp_calls(monkeypatch)
+        trace = count_closures(p).trace
+        assert trace.value == 61 ** 12 * 2 ** 11
+        assert sum(node.kind == "brute" for node in trace_nodes(trace)) == 12
+        assert (restricted, built, counted) == ([8], [8], [8])
+        assert swept == [p.n, 8, 8]  # the root's summit sweep, the first cube's two
 
     def test_constrained_leaves_compute_no_key(self, monkeypatch):
         # two cubes, each a leaf with a required atom: the second is
@@ -455,7 +517,7 @@ class TestLeafKey:
         keys = []
         structure = counting._structure
         monkeypatch.setattr(counting, "_structure",
-                            lambda p: keys.append(p.n) or structure(p))
+                            lambda p, s: keys.append(size(s)) or structure(p, s))
         calls = leaf_dp_calls(monkeypatch)
         cube = powerset_lattice(3)
         p = Poset(16, list(cube.covers) + [(u + 8, v + 8) for u, v in cube.covers])
@@ -558,6 +620,8 @@ class TestDetectionOncePerCount:
     ids (isolated._sweep), and only a leaf becomes a Poset of its own."""
 
     def test_one_detection_pass_per_count(self, monkeypatch):
+        # the pass runs at the count's first sweep, so an input with a
+        # shape, which no sweep reads, runs none
         calls = []
         detect = counting._family
         monkeypatch.setattr(counting, "_family", lambda p: calls.append(p.n) or detect(p))
@@ -565,7 +629,7 @@ class TestDetectionOncePerCount:
                   BOTTLENECK_UNDER_A_SUMMIT, powerset_lattice(3), chain(4)):
             del calls[:]
             count_closures(p)
-            assert calls == [p.n]
+            assert calls == ([] if count_special(p) else [p.n])
 
     def test_the_counter_calls_no_public_finder(self, monkeypatch):
         def refuse(p):
