@@ -4,8 +4,9 @@
 A closure system is a subset C in which every element x has a least
 majorizer: a least element of {y in C : y >= x}. Each such C determines
 exactly one closure operator (extensive, isotone, idempotent) whose
-fixpoints are C, and vice versa. This script lists both sides for a small
-example and confirms the correspondence.
+fixpoints are C, and vice versa. The enumerator yields each C as its member
+mask, and an operator is its image tuple, image[x] the closure of x. This
+script lists both sides for a small example and confirms the correspondence.
 
 Run: python demos/02_closure_systems.py
 """
@@ -20,12 +21,12 @@ def main() -> None:
     print(f"poset: {sorted(p.covers)}  ({p.detect_shape().label})")
     print()
     print("all closure systems and their operators (x -> least majorizer):")
-    for i, cs in enumerate(enumerate_closure_systems(p), start=1):
-        op = operator_from_system(p, cs.members)
-        arrows = " ".join(f"{x}->{y}" for x, y in enumerate(op.image))
-        members = str(list(bits(cs.members)))
+    for i, c in enumerate(enumerate_closure_systems(p), start=1):
+        image = operator_from_system(p, c)
+        arrows = " ".join(f"{x}->{y}" for x, y in enumerate(image))
+        members = str(list(bits(c)))
         print(f"  {i}. C={members:<13} {arrows}")
-        assert system_from_operator(op).members == cs.members
+        assert system_from_operator(p, image) == c
 
     print()
     print("notes:")
@@ -35,11 +36,11 @@ def main() -> None:
     print("    identity on every line above (asserted)")
 
     required = 1 << 1
-    constrained = [cs for cs in enumerate_closure_systems(p, required=required)]
+    constrained = list(enumerate_closure_systems(p, required=required))
     print()
     print(f"systems forced to contain element 1: {len(constrained)}")
-    for cs in constrained:
-        print(f"  C={list(bits(cs.members))}")
+    for c in constrained:
+        print(f"  C={list(bits(c))}")
 
 
 if __name__ == "__main__":

@@ -3,12 +3,13 @@
 A closure operator is an extensive, isotone, idempotent self-map; a closure
 system is a subset C such that every element has a least majorizer inside C.
 The two determine each other: the systems are exactly the fixpoint sets of
-the operators. This module holds the definitional checks, the conversion in
-both directions, enumeration over subsets, and the exact leaf counter the
-decomposition falls back on. The enumerator checks the definition on every
-candidate subset; it is the oracle that the leaf counter and the
-decomposition are both validated against.
-"""
+the operators. A system is passed as its member mask, like every element set
+here, and an operator as its image tuple, image[x] the closure of x; the
+poset is the caller's. This module holds the definitional checks, the
+conversion in both directions, enumeration over subsets, and the exact leaf
+counter the decomposition falls back on. The enumerator checks the
+definition on every candidate subset; it is the oracle that the leaf counter
+and the decomposition are both validated against."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ import math
 from functools import reduce
 from itertools import islice
 from operator import itemgetter, or_
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, Optional
 
 from .bitset import ElementSet, bits, mask_of, size
 from .errors import InvalidOperatorError, NoGreatestElementError, TooLargeError
@@ -24,20 +25,6 @@ from .poset import Poset
 
 DEFAULT_BRUTE_CAP = 1 << 20  # leaf states; powerset:5 visits about 694k
 DEFAULT_ENUM_CAP = 22  # elements, for the 2^free subset enumeration
-
-
-class ClosureSystem(NamedTuple):
-    """A closure system as a member bitmask of its poset."""
-
-    poset: Poset
-    members: ElementSet
-
-
-class ClosureOperator(NamedTuple):
-    """A closure operator as an image tuple: image[x] is the closure of x."""
-
-    poset: Poset
-    image: tuple
 
 
 def least_majorizer(p: Poset, x: int, c: ElementSet) -> Optional[int]:
@@ -58,45 +45,44 @@ def is_preclosure_system(p: Poset, c: ElementSet) -> bool:
 
     Only defined when the poset has a greatest element.
     """
-    top = p.greatest_element()
+    top = p.greatest_element_of(p.full_mask)
     if top is None:
         raise NoGreatestElementError("preclosure systems need a greatest element")
     return is_closure_system(p, c | (1 << top))
 
 
-def operator_from_system(p: Poset, c: ElementSet) -> ClosureOperator:
-    """The closure operator whose fixpoints are c: x maps to its least
-    majorizer in c. Raises ValueError if c is not a closure system."""
+def operator_from_system(p: Poset, c: ElementSet) -> tuple:
+    """Image tuple of the closure operator whose fixpoints are c: x maps to
+    its least majorizer in c. Raises ValueError if c is not a closure system."""
     image = []
     for x in range(p.n):
         m = least_majorizer(p, x, c)
         if m is None:
             raise ValueError(f"not a closure system: {x} has no least majorizer in it")
         image.append(m)
-    return ClosureOperator(p, tuple(image))
+    return tuple(image)
 
 
-def system_from_operator(op: ClosureOperator) -> ClosureSystem:
-    """Fixpoint set of a closure operator; validates the operator laws."""
-    validate_operator(op)
-    return ClosureSystem(op.poset, mask_of(x for x, y in enumerate(op.image) if x == y))
+def system_from_operator(p: Poset, image: tuple) -> ElementSet:
+    """Fixpoint mask of a closure operator; validates the operator laws."""
+    validate_operator(p, image)
+    return mask_of(x for x, y in enumerate(image) if x == y)
 
 
-def validate_operator(op: ClosureOperator) -> None:
-    """Raise InvalidOperatorError unless op is extensive, isotone, idempotent."""
-    p = op.poset
-    f = op.image
-    if len(f) != p.n:
-        raise InvalidOperatorError(f"image has {len(f)} entries for n={p.n}")
+def validate_operator(p: Poset, image: tuple) -> None:
+    """Raise InvalidOperatorError unless the image tuple is extensive,
+    isotone and idempotent on p."""
+    if len(image) != p.n:
+        raise InvalidOperatorError(f"image has {len(image)} entries for n={p.n}")
     for x in range(p.n):
-        if not 0 <= f[x] < p.n:
+        if not 0 <= image[x] < p.n:
             raise InvalidOperatorError(f"image of {x} is out of range")
-        if not p.leq(x, f[x]):
+        if not p.leq(x, image[x]):
             raise InvalidOperatorError(f"not extensive at {x}")
-        if f[f[x]] != f[x]:
+        if image[image[x]] != image[x]:
             raise InvalidOperatorError(f"not idempotent at {x}")
     for x, y in p.covers:
-        if not p.leq(f[x], f[y]):
+        if not p.leq(image[x], image[y]):
             raise InvalidOperatorError(f"not isotone on cover ({x}, {y})")
 
 
@@ -112,10 +98,10 @@ def _forced(p: Poset, required: ElementSet) -> ElementSet:
 
 
 def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
-                              cap: Optional[int] = DEFAULT_ENUM_CAP) -> Iterator[ClosureSystem]:
-    """Yield every closure system containing `required`, ascending by subset
-    bitmask over the free elements. An unsatisfiable `required` simply yields
-    nothing. Raises TooLargeError when p has more than `cap` elements
+                              cap: Optional[int] = DEFAULT_ENUM_CAP) -> Iterator[ElementSet]:
+    """Yield the member mask of every closure system containing `required`,
+    ascending by subset bitmask over the free elements. An unsatisfiable
+    `required` simply yields nothing. Raises TooLargeError when p has more than `cap` elements
     (cap=None lifts the cap) and ValueError for a negative cap."""
     if cap is not None and cap < 0:
         raise ValueError(f"element cap must be nonnegative, got {cap}")
@@ -128,7 +114,7 @@ def enumerate_closure_systems(p: Poset, required: ElementSet = 0,
         for i, pos in enumerate(free):
             c |= ((k >> i) & 1) << pos
         if is_closure_system(p, c):
-            yield ClosureSystem(p, c)
+            yield c
 
 
 def bruteforce_search_space(p: Poset, required: ElementSet = 0) -> int:
@@ -254,12 +240,3 @@ def count_closure_systems_bruteforce(p: Poset, required: ElementSet = 0,
         frontier = kept(frontier) + tail
     return sum(layer.values())
 
-
-def count_preclosure_systems(p: Poset, cap: Optional[int] = DEFAULT_BRUTE_CAP) -> int:
-    """Number of preclosure systems: exactly twice the closure system count,
-    by pairing each closure system C with C minus the greatest element."""
-    if p.greatest_element() is None:
-        raise NoGreatestElementError("preclosure systems need a greatest element")
-    from .counting import count_closures  # local import, counting uses this module
-
-    return 2 * count_closures(p, cap=cap).value

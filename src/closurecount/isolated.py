@@ -55,12 +55,12 @@ class IsolatedSuborder(NamedTuple):
 
 
 def is_isolated_suborder(p: Poset, s: ElementSet) -> bool:
-    """Direct definitional check (used as the oracle for separator-based
-    detection): s has a least member bot and a greatest member top, and any
-    comparability from inside to the outside factors through them. The
-    members' up-sets union to up[bot] and their down-sets to down[top], so
-    this is tested at the two ends. Raises ValueError when s has bits
-    outside p."""
+    """Direct definitional check, applied by quotient_by to every split and
+    the one the post-dominator pass (_family) is tested against: s has a
+    least member bot and a greatest member top, and any comparability from
+    inside to the outside factors through them. The members' up-sets union
+    to up[bot] and their down-sets to down[top], so this is tested at the
+    two ends. Raises ValueError when s has bits outside p."""
     if s & ~p.full_mask:
         raise ValueError(f"element mask {s:#x} has bits outside the poset")
     bot = p.least_element_of(s)

@@ -190,9 +190,6 @@ class Poset:
     def leq(self, x: int, y: int) -> bool:
         return bool((self.up_incl[x] >> y) & 1)
 
-    def lt(self, x: int, y: int) -> bool:
-        return x != y and bool((self.up_incl[x] >> y) & 1)
-
     def interval(self, a: int, b: int) -> ElementSet:
         """All x with a <= x <= b; empty when a <= b fails."""
         return self.up_incl[a] & self.down_incl[b]
@@ -215,12 +212,6 @@ class Poset:
             x = above.bit_length() - 1
             above = (self.up_incl[x] ^ (1 << x)) & s
         return x if s and self.down_incl[x] & s == s else None
-
-    def least_element(self) -> Optional[int]:
-        return self.least_element_of(self.full_mask)
-
-    def greatest_element(self) -> Optional[int]:
-        return self.greatest_element_of(self.full_mask)
 
     def is_chain(self, s: ElementSet) -> bool:
         """True iff the members of s are pairwise comparable."""
@@ -305,7 +296,7 @@ class Poset:
                 for x in range(self.n)]
         succ.append(tuple(bits(self.minimal_mask)) or (top,))
         succ.append(())
-        return AugmentedPoset(self, bot, top, tuple(succ))
+        return AugmentedPoset(bot, top, tuple(succ))
 
     def detect_shape(self, s: Optional[ElementSet] = None) -> Shape:
         """Classify the suborder on the nonempty mask s (default: the whole
@@ -353,7 +344,6 @@ class Poset:
 class AugmentedPoset(NamedTuple):
     """Hasse digraph of a poset plus artificial endpoints bot and top."""
 
-    base: Poset
     bot: int
     top: int
     succ: tuple

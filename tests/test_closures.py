@@ -20,8 +20,7 @@ import closurecount
 from closurecount import (Poset, TooLargeError, bits, bruteforce_search_space,
                           count_closure_systems_bruteforce,
                           enumerate_closure_systems, mask_of)
-from closurecount.closures import (ClosureOperator, count_preclosure_systems,
-                                   is_closure_system, is_preclosure_system,
+from closurecount.closures import (is_closure_system, is_preclosure_system,
                                    least_majorizer, operator_from_system,
                                    system_from_operator, validate_operator)
 from closurecount.errors import InvalidOperatorError, NoGreatestElementError
@@ -54,22 +53,21 @@ class TestIsClosureSystem:
 
 class TestEnumeration:
     def test_two_chain(self):
-        systems = [s.members for s in enumerate_closure_systems(chain(2))]
+        systems = list(enumerate_closure_systems(chain(2)))
         assert systems == [mask_of([1]), mask_of([0, 1])]
 
     def test_required_belt_element(self):
-        got = [s.members for s in enumerate_closure_systems(diamond(2), required=mask_of([1]))]
+        got = list(enumerate_closure_systems(diamond(2), required=mask_of([1])))
         assert got == [mask_of([1, 3]), mask_of([0, 1, 3]), mask_of([0, 1, 2, 3])]
 
     def test_ascending_bitmask_order(self):
-        members = [s.members for s in enumerate_closure_systems(powerset_lattice(2))]
+        members = list(enumerate_closure_systems(powerset_lattice(2)))
         assert members == sorted(members)
 
     def test_required_filters_the_stream(self):
         p = Poset(3, [(0, 1), (0, 2)])
-        got = [s.members for s in enumerate_closure_systems(p, required=mask_of([0]))]
-        want = [s.members for s in enumerate_closure_systems(p)
-                if s.members & mask_of([0]) == mask_of([0])]
+        got = list(enumerate_closure_systems(p, required=mask_of([0])))
+        want = [c for c in enumerate_closure_systems(p) if c & mask_of([0]) == mask_of([0])]
         assert got == want == [mask_of([0, 1, 2])]
 
     def test_cap(self):
@@ -167,14 +165,21 @@ class TestBruteForceCounts:
         assert count_closure_systems_bruteforce(chain(16)) == 2 ** 15
 
     def test_import_leaves_numpy_out(self):
+        # the package, its command line and its file reader import nothing
+        # outside the standard library, numpy included; modules loaded at
+        # startup, such as an editable install's path hook, are set aside
         src = os.path.dirname(os.path.dirname(closurecount.__file__))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, closurecount; print('numpy' in sys.modules)"],
-            capture_output=True, text=True,
-            env=dict(os.environ, PYTHONPATH=src))
+        script = (
+            "import sys\n"
+            "before = set(sys.modules)\n"
+            "import closurecount, closurecount.cli, closurecount.fileio\n"
+            "new = {name.partition('.')[0] for name in set(sys.modules) - before}\n"
+            "print(sorted(new - set(sys.stdlib_module_names)))\n")
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "['closurecount']\n"
 
 
 class TestRequiredOutsideThePoset:
@@ -213,8 +218,7 @@ class TestRequiredOutsideThePoset:
 class TestCryptomorphism:
     def test_operator_from_system_example(self):
         p = diamond(2)
-        op = operator_from_system(p, mask_of([1, 3]))
-        assert op.image == (1, 1, 3, 3)
+        assert operator_from_system(p, mask_of([1, 3])) == (1, 1, 3, 3)
 
     @pytest.mark.parametrize("p,c,first", [
         (Poset(2, []), 0, 0),                 # nothing at all above 0
@@ -231,7 +235,7 @@ class TestCryptomorphism:
             "from closurecount import Poset\n"
             "from closurecount.closures import operator_from_system\n"
             "try:\n"
-            "    print(operator_from_system(Poset(2, []), 0).image)\n"
+            "    print(operator_from_system(Poset(2, []), 0))\n"
             "except ValueError as exc:\n"
             "    print(exc)\n")
         proc = subprocess.run([sys.executable, "-O", "-c", script],
@@ -242,40 +246,43 @@ class TestCryptomorphism:
 
     def test_round_trips_on_random_posets(self):
         for _, p in random_posets(seed=23, count=30, max_n=7):
-            for cs in enumerate_closure_systems(p):
-                op = operator_from_system(p, cs.members)
-                validate_operator(op)
-                assert system_from_operator(op).members == cs.members
+            for c in enumerate_closure_systems(p):
+                # a system is its member mask, an operator its image tuple
+                assert type(c) is int and is_closure_system(p, c)
+                image = operator_from_system(p, c)
+                assert type(image) is tuple and all(type(y) is int for y in image)
+                validate_operator(p, image)
+                assert system_from_operator(p, image) == c
                 # extensivity corollary: anything above the closure is above x
                 for x in range(p.n):
-                    for y in bits(p.up_incl[op.image[x]]):
+                    for y in bits(p.up_incl[image[x]]):
                         assert p.leq(x, y)
 
     def test_not_extensive(self):
         p = chain(2)
         with pytest.raises(InvalidOperatorError):
-            validate_operator(ClosureOperator(p, (0, 0)))
+            validate_operator(p, (0, 0))
 
     def test_not_idempotent(self):
         p = chain(3)
         with pytest.raises(InvalidOperatorError):
-            validate_operator(ClosureOperator(p, (1, 2, 2)))
+            validate_operator(p, (1, 2, 2))
 
     def test_not_isotone(self):
         p = Poset(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
         # fix everything but send the bottom to belt 1 and belt 2 to itself:
         # 0 <= 2 but f(0) = 1 is incomparable to f(2) = 2
         with pytest.raises(InvalidOperatorError):
-            validate_operator(ClosureOperator(p, (1, 1, 2, 3)))
+            validate_operator(p, (1, 1, 2, 3))
 
     def test_wrong_length(self):
         with pytest.raises(InvalidOperatorError):
-            validate_operator(ClosureOperator(chain(2), (0,)))
+            validate_operator(chain(2), (0,))
 
     @pytest.mark.parametrize("image", [(2, 1), (-1, 1)])
     def test_image_out_of_range(self, image):
         with pytest.raises(InvalidOperatorError, match="out of range"):
-            validate_operator(ClosureOperator(chain(2), image))
+            validate_operator(chain(2), image)
 
 
 class TestPreclosure:
@@ -288,17 +295,14 @@ class TestPreclosure:
         p = Poset(3, [(0, 1), (0, 2)])
         with pytest.raises(NoGreatestElementError):
             is_preclosure_system(p, 0)
-        with pytest.raises(NoGreatestElementError):
-            count_preclosure_systems(p)
 
     @pytest.mark.parametrize("p,want", [(chain(2), 4), (diamond(2), 14)])
     def test_counts(self, p, want):
-        assert count_preclosure_systems(p) == want
+        assert sum(1 for c in range(1 << p.n) if is_preclosure_system(p, c)) == want
 
     def test_doubling_by_enumeration(self):
         for _, p in random_posets(seed=31, count=25, max_n=8):
-            if p.greatest_element() is None:
+            if p.greatest_element_of(p.full_mask) is None:
                 continue
             direct = sum(1 for c in range(1 << p.n) if is_preclosure_system(p, c))
             assert direct == 2 * count_closure_systems_bruteforce(p)
-            assert count_preclosure_systems(p) == direct

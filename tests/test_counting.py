@@ -270,13 +270,12 @@ class TestAgainstOracle:
         for _, p in random_posets(seed=107, count=60, max_n=8):
             for iso in find_max_summit_isos(p) + find_max_bottleneck_isos(p):
                 t = random_submask(rng, p.full_mask & ~iso.members, 2)
-                systems = [c.members for c in enumerate_closure_systems(p, required=t)]
+                systems = list(enumerate_closure_systems(p, required=t))
                 meeting = sum(1 for c in systems if c & iso.members)
                 q, idmap = p.restrict(quotient_by(p, iso))
                 # the bottom's id stands for the class of all of iso.members
                 qt = mask_of(i for i, x in enumerate(idmap) if (t >> x) & 1)
-                qsystems = [c.members
-                            for c in enumerate_closure_systems(q, required=qt)]
+                qsystems = list(enumerate_closure_systems(q, required=qt))
                 cls = 1 << idmap.index(iso.bottom)
                 q_with = sum(1 for c in qsystems if c & cls)
                 sub, _ = p.restrict(iso.members)
@@ -750,7 +749,7 @@ class TestQuadraticPathsStayOff:
     def test_tower_count_without_separator_search_or_all_pairs(self, monkeypatch):
         # detection tests order masks along post-dominator chains and
         # restrict climbs covers, so a count never runs a separator search,
-        # augments the Hasse graph or asks lt for every pair of members
+        # augments the Hasse graph or asks leq for every pair of members
         p = relabel(stacked(diamond(3), 12), random.Random(12))
 
         def refuse(*args, **kwargs):
@@ -758,7 +757,7 @@ class TestQuadraticPathsStayOff:
 
         monkeypatch.setattr(AugmentedPoset, "reachable_avoiding", refuse)
         monkeypatch.setattr(Poset, "augment", refuse)
-        monkeypatch.setattr(Poset, "lt", refuse)
+        monkeypatch.setattr(Poset, "leq", refuse)
         assert count_closures(p).value == 18_260_173_718_028_288
 
 

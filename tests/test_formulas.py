@@ -21,7 +21,7 @@ from conftest import glued_poset, oracle_count, random_poset
 
 def _counts_by_superset(p):
     """Map each T to the number of enumerated systems containing it."""
-    systems = [s.members for s in enumerate_closure_systems(p)]
+    systems = list(enumerate_closure_systems(p))
     return {t: sum(1 for c in systems if c & t == t) for t in range(1 << p.n)}
 
 

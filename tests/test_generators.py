@@ -24,13 +24,15 @@ class TestFamilies:
 
     def test_diamond_layout(self):
         p = diamond(3)
-        assert p.least_element() == 0 and p.greatest_element() == 4
+        assert p.least_element_of(p.full_mask) == 0
+        assert p.greatest_element_of(p.full_mask) == 4
         assert p.is_antichain(mask_of([1, 2, 3]))
         assert p.detect_shape().kind is ShapeKind.DIAMOND
 
     def test_bottomless_layout(self):
         p = bottomless_diamond(3)
-        assert p.greatest_element() == 3 and p.least_element() is None
+        assert p.greatest_element_of(p.full_mask) == 3
+        assert p.least_element_of(p.full_mask) is None
         assert p.detect_shape().kind is ShapeKind.BOTTOMLESS_DIAMOND
 
     def test_powerset_ids_are_subset_masks(self):
@@ -38,7 +40,8 @@ class TestFamilies:
         assert p.n == 8
         assert p.leq(0b001, 0b011) and not p.leq(0b011, 0b001)
         assert not p.leq(0b001, 0b010)
-        assert p.least_element() == 0 and p.greatest_element() == 0b111
+        assert p.least_element_of(p.full_mask) == 0
+        assert p.greatest_element_of(p.full_mask) == 0b111
 
     def test_powerset_zero(self):
         assert powerset_lattice(0).n == 1
@@ -50,7 +53,7 @@ class TestFamilies:
         # everything in level 0 is below everything in level 1
         for u in range(4):
             for v in range(4, 8):
-                assert p.lt(u, v)
+                assert p.leq(u, v)
         # within a level the base order survives
         assert p.leq(0, 3) and not p.leq(1, 2)
         # covers across levels connect level-0 maxima to level-1 minima only

@@ -48,7 +48,7 @@ class TestDefinition:
         for _, p in random_posets(seed=17, count=40, max_n=8):
             for a in range(p.n):
                 for b in range(p.n):
-                    if not p.lt(a, b):
+                    if a == b or not p.leq(a, b):
                         continue
                     m = p.interval(a, b)
                     if is_isolated_suborder(p, m):
@@ -118,7 +118,7 @@ class TestSeparators:
             aug = p.augment()
             for a in range(p.n):
                 for b in range(p.n):
-                    if not p.lt(a, b):
+                    if a == b or not p.leq(a, b):
                         continue
                     by_def = is_isolated_suborder(p, p.interval(a, b))
                     by_sep = (is_separator(aug, a, aug.bot, b)
@@ -243,7 +243,7 @@ class TestDetection:
                 pool = []
                 for a in range(p.n):
                     for b in range(p.n):
-                        if p.lt(a, b) and kind_ok(b):
+                        if a != b and p.leq(a, b) and kind_ok(b):
                             m = p.interval(a, b)
                             if m != p.full_mask and is_isolated_suborder(p, m):
                                 pool.append(m)
@@ -257,7 +257,7 @@ class TestDetection:
         for _, p in random_posets(seed=61, count=30, max_n=7):
             pool = [(a, b, p.interval(a, b))
                     for a in range(p.n) for b in range(p.n)
-                    if p.lt(a, b) and is_isolated_suborder(p, p.interval(a, b))]
+                    if a != b and p.leq(a, b) and is_isolated_suborder(p, p.interval(a, b))]
             for i, (a1, b1, m1) in enumerate(pool):
                 for a2, b2, m2 in pool[i + 1:]:
                     if m1 & m2:
